@@ -143,9 +143,7 @@ def _truncation(args) -> Truncation:
         kwargs["tail_tol"] = _positive("tail_tol", tail, upper=1e-2)
     n_max = getattr(args, "n_max", None)
     if n_max is not None:
-        if n_max < 1:
-            raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
-        kwargs["n_max"] = n_max
+        kwargs["n_max"] = n_max  # Truncation rejects n_max < 1
     return Truncation(**kwargs)
 
 
@@ -218,8 +216,6 @@ def cmd_sweep(args) -> int:
                 )
     else:
         quantities = QUANTITIES
-    if args.parallelism < 0:
-        raise DomainError(f"parallelism must be >= 0, got {args.parallelism}")
     tr = _truncation(args)
     spec = SweepSpec(r_values=tuple(r_values), lambda_values=tuple(lambdas), quantities=quantities)
     rows = run_sweep(spec, tr, parallelism=args.parallelism)
@@ -460,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallelism",
         type=int,
         default=1,
-        help="worker threads for independent rows; 0 picks automatically",
+        help="accepted (>= 0) but no longer changes anything; rows always run serially",
     )
     _add_truncation_flags(p_sweep)
     _add_output_flags(p_sweep)

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, InternalConsistencyError
 from .hardy import HARD_CAP, Truncation
@@ -494,6 +493,30 @@ def integrate(
     return _integrate(field, initial, t_end, step_tol, project=project)
 
 
+def _bracketed_root(f, a: float, b: float, xtol: float) -> float:
+    """Zero of f between a and b, where f changes sign (Illinois method).
+
+    Each step takes the secant through the bracket ends, or the midpoint
+    should it leave the bracket; an end kept twice in a row has its value
+    halved, so both ends close in.  Once the bracket is no wider than
+    xtol, returns the point with the smallest |f| seen.
+    """
+    fa, fb = f(a), f(b)
+    best, side = min((abs(fa), a), (abs(fb), b)), 0
+    for _ in range(200):
+        if abs(b - a) <= xtol or best[0] == 0.0:
+            break
+        c = b - fb * (b - a) / (fb - fa)
+        c = c if min(a, b) < c < max(a, b) else 0.5 * (a + b)
+        fc = f(c)
+        best = min(best, (abs(fc), c))
+        if (fc < 0.0) == (fb < 0.0):
+            b, fb, fa, side = c, fc, fa * (0.5 if side == -1 else 1.0), -1
+        else:
+            a, fa, fb, side = c, fc, fb * (0.5 if side == 1 else 1.0), 1
+    return best[1]
+
+
 def find_closed_geodesic(
     r: float, metric: str, tr: Truncation = Truncation()
 ) -> ClosedGeodesic:
@@ -534,7 +557,7 @@ def find_closed_geodesic(
             f" {len(ups)} minima and {len(downs)} interior maxima on the grid"
         )
     i = min(ups, key=lambda i: min(fvals[i], fvals[i + 1]))
-    rho_star = brentq(radial_condition, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16)
+    rho_star = _bracketed_root(radial_condition, float(grid[i]), float(grid[i + 1]), 1e-14)
     residual = abs(radial_condition(rho_star))
     length = TWO_PI * rho_star * field.density(rho_star)
     return ClosedGeodesic(rho_star=float(rho_star), length=float(length), residual=residual)

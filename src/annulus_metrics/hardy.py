@@ -6,14 +6,30 @@ alpha_n = 2*pi*(r_in^(2n+1) + r_out^(2n+1)).  Everything downstream
 (kernel diagonal, maximal domain functions, extremal functions) reduces
 to weighted sums of 1/alpha_n.
 
-Summation conventions used throughout:
-  - terms are paired n with -n-1 and the pairs summed in ascending n;
-  - pair values are accumulated with math.fsum;
+Every series goes through one core, _series, which sums
+sum_n w(n) e^(i n theta) / alpha_n(a) for polynomial weights w on an
+annulus a that contains the unit circle.  The other series are
+rescalings of it, since |z|^n / alpha_n(a) = sigma^(-1) / alpha_n(a / sigma)
+when sigma^2 = |z|:
+  - moment_sums is the core at theta = 0 with the weights n^j;
+  - the kernel S(z, w) on A_r uses sigma = sqrt(|z| |w|), which is
+    exactly |z| on the diagonal;
+  - the diagonal jets use the weights (n)_j (n)_k at sigma = |z|, with
+    the factor |z|^(-j-k) and the phase e^(i (k-j) arg z);
+  - J0, J1, J2 at r^lambda are moment sums on the same frame, which
+    _frame builds for the kernel, the jets and the J-functions alike;
+  - the extremal series on a are summed on a / sqrt|z|.
+
+Summation conventions of the core:
+  - terms are paired n with -n-1 and the pairs summed with math.fsum;
   - magnitudes are built as exponentials of logarithms, so sweeps down
     to r = 1e-8 and beyond stay inside double range;
-  - truncation starts at Truncation.n_max pairs and doubles until the
-    geometric tail bound drops below tail_tol relative to the sum of
-    absolute values, up to a hard cap.
+  - each weight starts at Truncation.n_max pairs and doubles, up to a
+    hard cap, until its own geometric tail bound drops below tail_tol
+    relative to the sum of absolute values.  A weight's pair count
+    depends on nothing but the weight and the annulus, so the weight-1
+    sum is bitwise the same in moment_sums, on the kernel diagonal and
+    in the jet entry (0, 0).
 """
 
 from __future__ import annotations
@@ -61,10 +77,14 @@ class GeneralAnnulus:
         return self.r_in < 1.0 < self.r_out
 
 
-def unit_annulus(r: float) -> GeneralAnnulus:
-    """The normalized annulus A_r = {r < |z| < 1}."""
+def _check_r(r: float) -> None:
     if not (isinstance(r, (int, float)) and math.isfinite(r) and 0.0 < r < 1.0):
         raise DomainError(f"inner radius must lie strictly between 0 and 1, got {r!r}")
+
+
+def unit_annulus(r: float) -> GeneralAnnulus:
+    """The normalized annulus A_r = {r < |z| < 1}."""
+    _check_r(r)
     return GeneralAnnulus(float(r), 1.0)
 
 
@@ -88,7 +108,11 @@ class Truncation:
 
 @dataclass(frozen=True)
 class MomentSums:
-    """Weighted sums s_j = sum_n n^j / alpha_n with summation metadata."""
+    """Weighted sums s_j = sum_n n^j / alpha_n with summation metadata.
+
+    n_used is the largest pair count any s_j needed, tail_bound the
+    largest certified tail.
+    """
 
     s: tuple
     annulus: GeneralAnnulus
@@ -123,13 +147,6 @@ class JOnAr(NamedTuple):
     j2: float
 
 
-def _logaddexp(x: float, y: float) -> float:
-    if x == y:
-        return x + math.log(2.0)
-    m = x if x > y else y
-    return m + math.log1p(math.exp(-abs(x - y)))
-
-
 def _log_alpha(log_rin: float, log_rout: float, n) -> np.ndarray:
     """log alpha_n, vectorized over n (numpy array or scalar)."""
     e = 2 * np.asarray(n, dtype=float) + 1.0
@@ -138,115 +155,122 @@ def _log_alpha(log_rin: float, log_rout: float, n) -> np.ndarray:
 
 def alpha_n(a: GeneralAnnulus, n: int) -> float:
     """Squared Hardy norm of z^n on the annulus boundary."""
-    la = float(
-        _log_alpha(math.log(a.r_in), math.log(a.r_out), int(n))
-    )
+    la = float(_log_alpha(math.log(a.r_in), math.log(a.r_out), int(n)))
     if la > 709.0:
         raise RangeError(f"alpha overflow at n={n} for annulus ({a.r_in}, {a.r_out})")
     return math.exp(la)
 
 
-def _doubling_schedule(tr: Truncation):
-    n = tr.n_max
-    while n <= HARD_CAP:
-        yield n
-        n *= 2
+def _poly(coeffs, x):
+    """Polynomial with coefficients in ascending powers, by Horner's rule."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _geometric(log_q: float) -> float:
+    """q / (1 - q) for q = exp(log_q), infinite once q rounds to 1 or more."""
+    q = math.exp(min(log_q, 0.0))
+    return q / (1.0 - q) if q < 1.0 else math.inf
+
+
+def _series(a: GeneralAnnulus, theta: float, weights, tr: Truncation, what: str) -> list:
+    """sum over all integers n of w(n) e^(i n theta) / alpha_n(a), per weight.
+
+    A weight is its coefficients in ascending powers of n.  Returns one
+    (value, pairs, tail) per weight, with a real value when theta == 0.
+    The tail bound past N pairs takes |w(n)| <= W(|n|), W the weight
+    with absolute coefficients, whose ratio from one |n| to the next is
+    at most ((N + 1) / N)^degree; for w = n^j this is exactly |n|^j.
+    what names the series and the point in a ConvergenceError.
+    """
+    if not a.contains_one:
+        raise ConvergenceError(
+            f"{what} diverges: the annulus ({a.r_in!r}, {a.r_out!r}) misses the unit circle"
+        )
+    log_rin, log_rout = math.log(a.r_in), math.log(a.r_out)
+    out = [None] * len(weights)
+    n_pairs = tr.n_max
+    while n_pairs <= HARD_CAP:
+        n = np.arange(n_pairs + 1.0)
+        n_neg = -n - 1.0
+        e_pos = np.exp(-_log_alpha(log_rin, log_rout, n))
+        e_neg = np.exp(-_log_alpha(log_rin, log_rout, n_neg))
+        for i, w in enumerate(weights):
+            if out[i] is not None:
+                continue
+            m_pos = _poly(w, n) * e_pos
+            m_neg = _poly(w, n_neg) * e_neg
+            scale = math.fsum(np.abs(m_pos).tolist()) + math.fsum(np.abs(m_neg).tolist())
+            w_abs = [abs(c) for c in w]
+            growth = (len(w) - 1) * math.log1p(1.0 / n_pairs)
+            tail = _poly(w_abs, float(n_pairs)) * e_pos[-1] * _geometric(growth - 2 * log_rout)
+            tail += _poly(w_abs, n_pairs + 1.0) * e_neg[-1] * _geometric(growth + 2 * log_rin)
+            if not tail <= tr.tail_tol * max(scale, 1e-300):
+                continue
+            if theta:
+                terms = m_pos * np.exp(1j * theta * n) + m_neg * np.exp(1j * theta * n_neg)
+                value = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+            else:
+                value = math.fsum((m_pos + m_neg).tolist())
+            out[i] = (value, n_pairs, float(tail))
+        if all(o is not None for o in out):
+            return out
+        n_pairs *= 2
+    raise ConvergenceError(
+        f"{what} did not meet tail_tol={tr.tail_tol!r} with {tr.n_max} pairs"
+        f" doubled up to the cap of {HARD_CAP}"
+    )
+
+
+def _frame(r: float, lam: float, where: str) -> tuple:
+    """A_r rescaled by z -> z / r^lambda, and the log of r^(-lambda).
+
+    The image (r^(1-lambda), r^(-lambda)) of A_r contains 1 for every
+    lambda in (0, 1), except where rounding puts it on a boundary
+    circle, which no number of terms reaches; where names the point in
+    that ConvergenceError.
+    """
+    r_in, r_out = r ** (1.0 - lam), r ** (-lam)
+    if not r_in < 1.0 < r_out:
+        raise ConvergenceError(
+            f"{where} is within rounding of a boundary circle of A_r with r = {r!r}:"
+            f" lambda = {lam!r} rescales A_r to ({r_in!r}, {r_out!r})"
+        )
+    return GeneralAnnulus(r_in, r_out), -lam * math.log(r)
 
 
 def moment_sums(a: GeneralAnnulus, j_max: int, tr: Truncation = Truncation()) -> MomentSums:
     """s_j = sum over all integers n of n^j / alpha_n, j = 0..j_max.
 
     The annulus must contain the unit circle, which is what makes the
-    two geometric tails decay.  Pairs (n, -n-1) are summed together in
-    ascending n with compensated accumulation.
+    two geometric tails decay.
     """
     if not isinstance(j_max, int) or not (0 <= j_max <= 8):
         raise DomainError(f"j_max must be an integer in [0, 8], got {j_max!r}")
     if not a.contains_one:
-        raise DomainError(
-            f"moment sums require r_in < 1 < r_out, got ({a.r_in}, {a.r_out})"
-        )
-    log_rin = math.log(a.r_in)
-    log_rout = math.log(a.r_out)
-
-    for n_pairs in _doubling_schedule(tr):
-        n = np.arange(n_pairs + 1)
-        inv_pos = np.exp(-_log_alpha(log_rin, log_rout, n))
-        inv_neg = np.exp(-_log_alpha(log_rin, log_rout, -n - 1))
-        values = []
-        tails = []
-        ok = True
-        for j in range(j_max + 1):
-            wp_ = n.astype(float) ** j if j else np.ones_like(inv_pos)
-            wn = (-1.0) ** j * (n + 1.0) ** j if j else np.ones_like(inv_neg)
-            pairs = wp_ * inv_pos + wn * inv_neg
-            total = math.fsum(pairs)
-            abs_scale = math.fsum(np.abs(wp_ * inv_pos)) + math.fsum(np.abs(wn * inv_neg))
-            log_growth = j * math.log1p(1.0 / n_pairs)
-            # Decay ratios in log space: raw r_out**2 can overflow for
-            # very wide annuli even though the ratio itself is tiny.
-            lq_pos = log_growth - 2 * log_rout
-            lq_neg = log_growth + 2 * log_rin
-            q_pos = math.exp(lq_pos) if lq_pos < 0 else 1.0
-            q_neg = math.exp(lq_neg) if lq_neg < 0 else 1.0
-            t_pos = abs(wp_[-1] * inv_pos[-1])
-            t_neg = abs(wn[-1] * inv_neg[-1])
-            if q_pos >= 1.0 or q_neg >= 1.0:
-                ok = False
-                break
-            tail = t_pos * q_pos / (1 - q_pos) + t_neg * q_neg / (1 - q_neg)
-            if tail > tr.tail_tol * max(abs_scale, 1e-300):
-                ok = False
-                break
-            values.append(total)
-            tails.append(tail)
-        if ok:
-            return MomentSums(tuple(values), a, n_pairs, max(tails))
-    raise ConvergenceError(
-        f"moment sums did not meet tail_tol={tr.tail_tol} within {HARD_CAP} pairs"
-    )
+        raise DomainError(f"moment sums require r_in < 1 < r_out, got ({a.r_in}, {a.r_out})")
+    weights = [(0.0,) * j + (1.0,) for j in range(j_max + 1)]
+    what = f"moment sums on the annulus ({a.r_in!r}, {a.r_out!r})"
+    values, counts, tails = zip(*_series(a, 0.0, weights, tr, what))
+    return MomentSums(values, a, max(counts), max(tails))
 
 
 def szego_kernel(r: float, z: complex, w: complex, tr: Truncation = Truncation()) -> complex:
     """Boundary reproducing kernel S(z, w) of the annulus {r < |.| < 1}."""
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and 0.0 < r < 1.0):
-        raise DomainError(f"inner radius must lie strictly between 0 and 1, got {r!r}")
+    _check_r(r)
     z = complex(z)
     w = complex(w)
     for name, p in (("z", z), ("w", w)):
         if not (r < abs(p) < 1.0):
             raise DomainError(f"{name} = {p!r} is outside the open annulus ({r}, 1)")
     t = z * w.conjugate()
-    log_t = math.log(abs(t))
-    theta = math.atan2(t.imag, t.real)
-    log_r = math.log(r)
-
-    for n_pairs in _doubling_schedule(tr):
-        n = np.arange(n_pairs + 1)
-        # 1/(1+r^(2n+1)) and its negative-index mirror r^(2n+1)/(1+r^(2n+1))
-        lg = np.logaddexp(0.0, (2 * n + 1) * log_r)
-        mag_pos = np.exp(n * log_t - lg)
-        mag_neg = np.exp(-(n + 1) * log_t + (2 * n + 1) * log_r - lg)
-        ang = (n + 0.0) * theta
-        ang_neg = -(n + 1.0) * theta
-        re = math.fsum(mag_pos * np.cos(ang)) + math.fsum(mag_neg * np.cos(ang_neg))
-        im = math.fsum(mag_pos * np.sin(ang)) + math.fsum(mag_neg * np.sin(ang_neg))
-        abs_scale = math.fsum(mag_pos) + math.fsum(mag_neg)
-        q_pos = abs(t)
-        q_neg = r * r / abs(t)
-        tail = mag_pos[-1] * q_pos / (1 - q_pos) + mag_neg[-1] * q_neg / (1 - q_neg)
-        if tail <= tr.tail_tol * max(abs_scale, 1e-300):
-            return complex(re, im) / TWO_PI
-    raise ConvergenceError(
-        f"kernel series too slow for |z w̄| = {abs(t):.6g} within {HARD_CAP} pairs"
-    )
-
-
-def _falling(n: np.ndarray, j: int) -> np.ndarray:
-    out = np.ones_like(n, dtype=float)
-    for i in range(j):
-        out = out * (n - i)
-    return out
+    where = f"|z| = {abs(z)!r}, |w| = {abs(w)!r}"
+    frame, log_unscale = _frame(r, math.log(math.sqrt(abs(z) * abs(w))) / math.log(r), where)
+    what = f"kernel series at {where} with r = {r!r}"
+    ((value, _, _),) = _series(frame, math.atan2(t.imag, t.real), [(1.0,)], tr, what)
+    return complex(value) * math.exp(log_unscale)
 
 
 def szego_kernel_jet(
@@ -254,12 +278,11 @@ def szego_kernel_jet(
 ) -> WirtingerJet:
     """Jet of the kernel diagonal S(z, z), mixed derivatives to order.
 
-    Each entry (j, k) carries the constant phase e^{i(k-j) arg z} times
-    a real weighted sum, so the table is assembled from shared
-    magnitude arrays.
+    d^j dbar^k of (z zbar)^n is (n)_j (n)_k z^(n-j) zbar^(n-k), so entry
+    (j, k) is e^(i(k-j) arg z) |z|^(-j-k) times a real weighted sum,
+    symmetric in (j, k).
     """
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and 0.0 < r < 1.0):
-        raise DomainError(f"inner radius must lie strictly between 0 and 1, got {r!r}")
+    _check_r(r)
     if not isinstance(order, int) or not (0 <= order <= MAX_ORDER):
         raise DomainError(f"order must be an integer in [0, {MAX_ORDER}], got {order!r}")
     z = complex(z)
@@ -267,47 +290,22 @@ def szego_kernel_jet(
     if not (r < rho < 1.0):
         raise DomainError(f"z = {z!r} is outside the open annulus ({r}, 1)")
     theta = math.atan2(z.imag, z.real)
-    log_rho = math.log(rho)
-    log_r = math.log(r)
-
-    for n_pairs in _doubling_schedule(tr):
-        npos = np.arange(n_pairs + 1)
-        nneg = -npos - 1
-        lg_pos = np.logaddexp(0.0, (2 * npos + 1) * log_r)
-        lg_neg = np.logaddexp(0.0, (2 * nneg + 1) * log_r)
-        table = np.zeros((order + 1, order + 1), dtype=complex)
-        ok = True
-        worst_margin = None
-        for j in range(order + 1):
-            for k in range(order + 1):
-                w_pos = _falling(npos.astype(float), j) * _falling(npos.astype(float), k)
-                w_neg = _falling(nneg.astype(float), j) * _falling(nneg.astype(float), k)
-                m_pos = w_pos * np.exp((2 * npos - j - k) * log_rho - lg_pos)
-                m_neg = w_neg * np.exp((2 * nneg - j - k) * log_rho - lg_neg)
-                total = math.fsum(m_pos) + math.fsum(m_neg)
-                abs_scale = math.fsum(np.abs(m_pos)) + math.fsum(np.abs(m_neg))
-                growth = ((n_pairs + 1 + order) / max(n_pairs - order, 1)) ** (j + k)
-                q_pos = growth * rho * rho
-                q_neg = growth * (r / rho) ** 2
-                if q_pos >= 1.0 or q_neg >= 1.0:
-                    ok = False
-                    break
-                tail = abs(m_pos[-1]) * q_pos / (1 - q_pos) + abs(m_neg[-1]) * q_neg / (
-                    1 - q_neg
-                )
-                if tail > tr.tail_tol * max(abs_scale, 1e-300):
-                    ok = False
-                    break
-                phase = complex(math.cos((k - j) * theta), math.sin((k - j) * theta))
-                table[j, k] = total / TWO_PI * phase
-                worst_margin = tail
-            if not ok:
-                break
-        if ok:
-            return WirtingerJet(order, table)
-    raise ConvergenceError(
-        f"kernel jet series too slow at |z| = {rho:.6g} within {HARD_CAP} pairs"
-    )
+    frame, log_unscale = _frame(r, math.log(rho) / math.log(r), f"|z| = {rho!r}")
+    pairs = [(j, k) for j in range(order + 1) for k in range(j, order + 1)]
+    # (n)_j (n)_k has the roots 0..j-1 and 0..k-1
+    weights = [
+        tuple(np.polynomial.polynomial.polyfromroots([*range(j), *range(k)]).tolist())
+        for j, k in pairs
+    ]
+    what = f"kernel jet series at |z| = {rho!r} with r = {r!r}"
+    sums = _series(frame, 0.0, weights, tr, what)
+    unscale = math.exp(log_unscale)
+    table = np.zeros((order + 1, order + 1), dtype=complex)
+    for (j, k), (value, _, _) in zip(pairs, sums):
+        v = value * unscale * rho ** -(j + k)
+        for a, b in ((j, k), (k, j)):
+            table[a, b] = v * complex(math.cos((b - a) * theta), math.sin((b - a) * theta))
+    return WirtingerJet(order, table)
 
 
 def j_functions_at_one(a: GeneralAnnulus, tr: Truncation = Truncation()) -> JAtOne:
@@ -317,10 +315,16 @@ def j_functions_at_one(a: GeneralAnnulus, tr: Truncation = Truncation()) -> JAtO
     lower-order vanishing conditions, which reduces to the closed 2x2
     solve for (gamma, delta).
     """
-    ms = moment_sums(a, 4, tr)
+    return _j_at_one(moment_sums(a, 4, tr))
+
+
+def _j_at_one(ms: MomentSums) -> JAtOne:
+    a = ms.annulus
     s0, s1, s2, s3, s4 = ms.s
     if s0 <= 0:
-        raise InternalConsistencyError(f"s0 must be positive, got {s0}")
+        raise InternalConsistencyError(
+            f"s0 must be positive, got {s0} on the annulus ({a.r_in!r}, {a.r_out!r})"
+        )
     gap = s0 * s2 - s1 * s1
     if gap <= 0:
         # The gap scales like (r_in / r_out) * s0^2; once that ratio is
@@ -342,27 +346,32 @@ def j_functions_at_one(a: GeneralAnnulus, tr: Truncation = Truncation()) -> JAtO
     j1 = gap / s0
     j2 = s4 - gamma * s3 - delta * s2
     if j1 <= 0 or j2 <= 0:
-        raise InternalConsistencyError(f"J values must be positive, got J1={j1}, J2={j2}")
+        raise InternalConsistencyError(
+            f"J values must be positive, got J1={j1}, J2={j2}"
+            f" on the annulus ({a.r_in!r}, {a.r_out!r})"
+        )
     return JAtOne(j0, j1, j2, ExtremalCoefficients(beta, gamma, delta, gap))
 
 
-def j_functions_on_A_r(r: float, lam: float, tr: Truncation = Truncation()) -> JOnAr:
-    """J0, J1, J2 for the annulus {r < |.| < 1} at the point r^lambda.
-
-    Uses the scaling map w = z/r^lambda, which sends A_r to the annulus
-    (r^(1-lambda), r^(-lambda)) containing 1; a j-th derivative picks up
-    r^(-(2j+1)lambda) on the way back.
-    """
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and 0.0 < r < 1.0):
-        raise DomainError(f"inner radius must lie strictly between 0 and 1, got {r!r}")
+def moment_sums_on_A_r(r: float, lam: float, tr: Truncation = Truncation()) -> MomentSums:
+    """s_0..s_4 of the annulus {r < |.| < 1} rescaled so that r^lambda sits at 1."""
+    _check_r(r)
     if not (isinstance(lam, (int, float)) and 0.0 < lam < 1.0):
         raise DomainError(f"lambda must lie strictly between 0 and 1, got {lam!r}")
-    sub = GeneralAnnulus(r ** (1.0 - lam), r ** (-lam))
-    at_one = j_functions_at_one(sub, tr)
-    log_r = math.log(r)
+    return moment_sums(_frame(r, lam, f"|z| = r^lambda = {r ** lam!r}")[0], 4, tr)
+
+
+def j_functions_from_sums(r: float, lam: float, ms: MomentSums) -> JOnAr:
+    """J0, J1, J2 at r^lambda from the moment sums of moment_sums_on_A_r.
+
+    A j-th derivative picks up r^(-(2j+1) lambda) on the way back from
+    the rescaled annulus.
+    """
+    at_one = _j_at_one(ms)
+    log_unscale = _frame(r, lam, f"|z| = r^lambda = {r ** lam!r}")[1]
     out = []
     for j, val in enumerate((at_one.j0, at_one.j1, at_one.j2)):
-        log_scale = -(2 * j + 1) * lam * log_r
+        log_scale = (2 * j + 1) * log_unscale
         if log_scale + math.log(val) > 709.0:
             raise RangeError(
                 f"J{j} rescaling overflow at r={r!r}, lambda={lam!r}"
@@ -370,6 +379,15 @@ def j_functions_on_A_r(r: float, lam: float, tr: Truncation = Truncation()) -> J
             )
         out.append(val * math.exp(log_scale))
     return JOnAr(*out)
+
+
+def j_functions_on_A_r(r: float, lam: float, tr: Truncation = Truncation()) -> JOnAr:
+    """J0, J1, J2 for the annulus {r < |.| < 1} at the point r^lambda.
+
+    Uses the scaling map w = z/r^lambda, which sends A_r to the annulus
+    (r^(1-lambda), r^(-lambda)) containing 1 (see _frame).
+    """
+    return j_functions_from_sums(r, lam, moment_sums_on_A_r(r, lam, tr))
 
 
 def extremal_function_value(
@@ -387,40 +405,12 @@ def extremal_function_value(
     rho = abs(z)
     if not (a.r_in <= rho <= a.r_out):
         raise DomainError(f"z = {z!r} is outside the closed annulus ({a.r_in}, {a.r_out})")
-    if which == "f0":
-        poly = (1.0, 0.0, 0.0)
-        deg = 0
-    elif which == "f_beta":
+    weight = (1.0,)
+    if which != "f0":
         cf = j_functions_at_one(a, tr).coeffs
-        poly = (-cf.beta, 1.0, 0.0)
-        deg = 1
-    else:
-        cf = j_functions_at_one(a, tr).coeffs
-        poly = (-cf.delta, -cf.gamma, 1.0)
-        deg = 2
-    log_rin = math.log(a.r_in)
-    log_rout = math.log(a.r_out)
-    log_rho = math.log(rho)
-    theta = math.atan2(z.imag, z.real)
-
-    def weight(narr):
-        return poly[0] + poly[1] * narr + poly[2] * narr * narr
-
-    for n_pairs in _doubling_schedule(tr):
-        npos = np.arange(n_pairs + 1).astype(float)
-        nneg = -npos - 1.0
-        m_pos = weight(npos) * np.exp(npos * log_rho - _log_alpha(log_rin, log_rout, npos))
-        m_neg = weight(nneg) * np.exp(nneg * log_rho - _log_alpha(log_rin, log_rout, nneg))
-        re = math.fsum(m_pos * np.cos(npos * theta)) + math.fsum(m_neg * np.cos(nneg * theta))
-        im = math.fsum(m_pos * np.sin(npos * theta)) + math.fsum(m_neg * np.sin(nneg * theta))
-        abs_scale = math.fsum(np.abs(m_pos)) + math.fsum(np.abs(m_neg))
-        growth = ((n_pairs + 1) / n_pairs) ** deg
-        q_pos = growth * rho / a.r_out**2
-        q_neg = growth * a.r_in**2 / rho
-        if q_pos < 1.0 and q_neg < 1.0:
-            tail = abs(m_pos[-1]) * q_pos / (1 - q_pos) + abs(m_neg[-1]) * q_neg / (1 - q_neg)
-            if tail <= tr.tail_tol * max(abs_scale, 1e-300):
-                return complex(re, im)
-    raise ConvergenceError(
-        f"extremal series too slow at |z| = {rho:.6g} within {HARD_CAP} pairs"
-    )
+        weight = (-cf.beta, 1.0) if which == "f_beta" else (-cf.delta, -cf.gamma, 1.0)
+    root = math.sqrt(rho)
+    frame = GeneralAnnulus(a.r_in / root, a.r_out / root)
+    what = f"extremal series {which} at |z| = {rho!r} on the annulus ({a.r_in!r}, {a.r_out!r})"
+    ((value, _, _),) = _series(frame, math.atan2(z.imag, z.real), [weight], tr, what)
+    return complex(value) / root

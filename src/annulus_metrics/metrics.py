@@ -32,6 +32,7 @@ from .elliptic import (
     wp,
 )
 from .errors import (
+    ConvergenceError,
     DomainError,
     InternalConsistencyError,
     ShapeError,
@@ -118,6 +119,11 @@ def sample(r: float, z: complex, tr: Truncation = Truncation()) -> MetricSample:
     """
     zc = _check_interior(r, z)
     lam = math.log(abs(zc)) / math.log(r)
+    if not lam < 1.0:
+        raise ConvergenceError(
+            f"|z| = {abs(zc)!r} is within rounding of the inner circle of A_r"
+            f" with r = {r!r}: lambda = log|z| / log r rounds to 1"
+        )
     J = j_functions_on_A_r(r, lam, tr)
     s_val = math.sqrt(J.j1 / J.j0)
     kappa_s = 4.0 - 2.0 * J.j0 * J.j2 / J.j1**2

@@ -12,16 +12,15 @@ without ever guessing on noisy data.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConvergenceError, DomainError, RangeError
 from .hardy import (
-    GeneralAnnulus,
+    JOnAr,
     Truncation,
-    j_functions_on_A_r,
-    moment_sums,
+    j_functions_from_sums,
+    moment_sums_on_A_r,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -128,8 +127,7 @@ def asymptotic_N(r: float, lam: float, j: int) -> float:
     return (top + mid) / (2.0 * math.pi**3)
 
 
-def _row_values(r: float, lam: float, quantities: Sequence[str], tr: Truncation):
-    J = j_functions_on_A_r(r, lam, tr)
+def _row_values(r: float, lam: float, quantities: Sequence[str], J: JOnAr):
     c = TWO_PI * J.j0
     s = math.sqrt(J.j1 / J.j0)
     out = []
@@ -152,10 +150,9 @@ def _row_values(r: float, lam: float, quantities: Sequence[str], tr: Truncation)
 def _build_row(r: float, lam: float, quantities: tuple, tr: Truncation) -> SweepRow:
     n_used = tail = None
     try:
-        sub = GeneralAnnulus(r ** (1.0 - lam), r ** (-lam))
-        ms = moment_sums(sub, 4, tr)
+        ms = moment_sums_on_A_r(r, lam, tr)
         n_used, tail = ms.n_used, ms.tail_bound
-        values = _row_values(r, lam, quantities, tr)
+        values = _row_values(r, lam, quantities, j_functions_from_sums(r, lam, ms))
         return SweepRow(r, lam, quantities, values, n_used, tail)
     except (RangeError, ConvergenceError) as exc:
         return SweepRow(
@@ -176,24 +173,17 @@ def run_sweep(
     given (decreasing) r order; range and convergence failures are
     recorded per row instead of aborting the sweep.
 
-    parallelism: 1 runs serially, 0 picks a worker count automatically,
-    anything else is an explicit thread count.  Ordering of the output
-    does not depend on it.
+    parallelism must be a nonnegative integer but no longer changes
+    anything: rows run serially, since the summation holds the
+    interpreter lock and worker threads only made the sweep slower.
     """
     if not isinstance(parallelism, int) or parallelism < 0:
         raise DomainError(f"parallelism must be a nonnegative integer, got {parallelism!r}")
-    cells = [
-        (r, lam)
+    return [
+        _build_row(r, lam, spec.quantities, tr)
         for lam in sorted(spec.lambda_values)
         for r in spec.r_values
     ]
-    if parallelism == 1 or len(cells) == 1:
-        return [_build_row(r, lam, spec.quantities, tr) for r, lam in cells]
-    workers = parallelism or min(32, (len(cells) + 1) // 2)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(lambda cell: _build_row(cell[0], cell[1], spec.quantities, tr), cells)
-        )
 
 
 def limit_classifier(rows: Sequence[SweepRow], quantity: str) -> Classification:

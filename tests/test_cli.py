@@ -93,6 +93,15 @@ def test_eval_convergence_failure_exit_3(capsys):
     assert "convergence error" in err
 
 
+@pytest.mark.parametrize(
+    "r, z", [("0.1", "0.10000000000000002+0i"), ("0.5", "0.9999999999999999+0i")]
+)
+def test_eval_one_ulp_inside_a_circle_exit_3(capsys, r, z):
+    code, _, err = run_cli(capsys, "eval", "--r", r, "--z", z)
+    assert code == 3
+    assert "convergence error" in err and f"r = {r}" in err
+
+
 def test_eval_seventeen_digit_round_trip(capsys):
     _, out, _ = run_cli(capsys, "eval", "--r", "0.37", "--z", "0.61+0.11i")
     _, header, rows = parse_csv(out)
@@ -398,6 +407,17 @@ def test_module_entry_point_version():
     )
     assert proc.returncode == 0
     assert __version__ in proc.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, annulus_metrics.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_no_command_exits_nonzero():

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from annulus_metrics import geodesics
 from annulus_metrics.errors import ConvergenceError, DomainError
 from annulus_metrics.geodesics import (
     CLOSURE_TOL,
@@ -194,6 +195,27 @@ def test_circle_closes_under_integration(r, metric):
     assert trace.energy_drift <= 1e-7
     assert trace.angular_drift <= 1e-7
     assert trace.length == pytest.approx(circle.length, rel=1e-8)
+
+
+def test_bracketed_root_matches_brentq(monkeypatch):
+    pytest.importorskip("scipy")
+    from scipy.optimize import brentq
+
+    solve, brackets = geodesics._bracketed_root, []
+
+    def recorded(f, a, b, xtol):
+        x = solve(f, a, b, xtol)
+        brackets.append((f, a, b, x))
+        return x
+
+    monkeypatch.setattr(geodesics, "_bracketed_root", recorded)
+    for r, metric in ((0.02, "s"), (0.1, "s"), (0.1, "c"), (0.5, "s"), (0.9, "c")):
+        find_closed_geodesic(r, metric)
+    assert len(brackets) == 5
+    for f, a, b, x in brackets:
+        ref = brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
+        assert abs(x - ref) <= 2e-14
+        assert abs(f(x)) <= max(abs(f(ref)), 1e-13)
 
 
 def test_symmetric_circle_is_critical_in_both_regimes():

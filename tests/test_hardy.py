@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annulus_metrics import hardy
 from annulus_metrics.errors import (
     ConvergenceError,
     DomainError,
+    InternalConsistencyError,
     RangeError,
 )
 from annulus_metrics.hardy import (
+    HARD_CAP,
     GeneralAnnulus,
+    MomentSums,
     Truncation,
     alpha_n,
     extremal_function_value,
@@ -24,6 +28,7 @@ from annulus_metrics.hardy import (
     szego_kernel_jet,
     unit_annulus,
 )
+from annulus_metrics.metrics import sample
 
 from conftest import mixed_wirtinger_fd
 
@@ -257,6 +262,31 @@ def test_kernel_convergence_error_near_boundary():
         szego_kernel(0.3, z, z)
 
 
+def test_series_errors_name_the_series_the_point_and_the_pairs():
+    z = 1 - 1e-8
+    message = (
+        r"kernel series at \|z\| = 0\.99999999, \|w\| = 0\.99999999 with r = 0\.3"
+        rf" did not meet tail_tol=1e-12 with {HARD_CAP} pairs doubled up to the cap of {HARD_CAP}"
+    )
+    with pytest.raises(ConvergenceError, match=message):
+        szego_kernel(0.3, z, z, Truncation(n_max=HARD_CAP))
+
+
+def test_j_function_errors_name_the_annulus(monkeypatch):
+    # s0 <= 0 or a nonpositive J1, J2 can only come from broken sums
+    a = GeneralAnnulus(0.5, 2.0)
+
+    def broken(s):
+        monkeypatch.setattr(hardy, "moment_sums", lambda *args: MomentSums(s, a, 1, 0.0))
+
+    broken((-1.0, 0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(InternalConsistencyError, match=r"s0 must be .* \(0\.5, 2\.0\)"):
+        j_functions_at_one(a)
+    broken((1.0, 0.0, 1.0, 0.0, 0.5))  # gap 1, J2 = s4 - s2 = -0.5
+    with pytest.raises(InternalConsistencyError, match=r"J values must .* \(0\.5, 2\.0\)"):
+        j_functions_at_one(a)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.floats(min_value=0.05, max_value=0.8),
@@ -460,6 +490,21 @@ def test_jet_diagonal_matches_kernel():
     r, z = 0.4, 0.55 + 0.3j
     jet = szego_kernel_jet(r, z, 3)
     assert jet.at(0, 0) == szego_kernel(r, z, z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=0.05, max_value=0.95),
+    st.floats(min_value=0.02, max_value=0.98),
+    st.floats(min_value=-PI, max_value=PI),
+)
+def test_weight_one_sum_is_shared_bit_for_bit(r, lam, th):
+    # sample's J0, the kernel diagonal and the jet entry (0, 0) are one
+    # moment sum on one rescaled annulus
+    z = r**lam * cmath.exp(1j * th)
+    S = szego_kernel(r, z, z)
+    assert sample(r, z).c == 2 * PI * S.real
+    assert szego_kernel_jet(r, z, 2).at(0, 0) == S
 
 
 def test_jet_reality_symmetry():

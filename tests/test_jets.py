@@ -28,12 +28,20 @@ def sympy_jet(expr, z0: complex, order: int) -> WirtingerJet:
     """Exact mixed-derivative table of expr(z, zbar), via sympy.
 
     Wirtinger differentiation treats z and zbar as independent symbols.
+    Each entry differentiates its neighbour once instead of expr afresh:
+    d[j][k+1] = d/dzbar d[j][k] and d[j+1][0] = d/dz d[j][0].
     """
     table = np.zeros((order + 1, order + 1), dtype=complex)
+    point = {Z: z0, ZB: complex(z0).conjugate()}
+    row_start = expr
     for j in range(order + 1):
+        if j:
+            row_start = sp.diff(row_start, Z)
+        d = row_start
         for k in range(order + 1):
-            d = sp.diff(expr, Z, j, ZB, k)
-            table[j, k] = complex(d.subs({Z: z0, ZB: complex(z0).conjugate()}))
+            if k:
+                d = sp.diff(d, ZB)
+            table[j, k] = complex(d.subs(point))
     return WirtingerJet(order, table)
 
 

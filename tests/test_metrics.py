@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from annulus_metrics.errors import (
+    ConvergenceError,
     DomainError,
     InternalConsistencyError,
     PoleError,
@@ -31,6 +33,16 @@ PI = math.pi
 
 # ---------------------------------------------------------------------------
 # sample: invariants and disc limits
+
+
+@pytest.mark.parametrize(
+    "r, z", [(0.1, math.nextafter(0.1, 1.0)), (0.5, math.nextafter(1.0, 0.0))]
+)
+def test_sample_one_ulp_inside_a_circle_is_a_convergence_error(r, z):
+    # lambda = log|z| / log r, or the rescaled annulus, rounds onto a circle
+    match = rf"\|z\| = .*{re.escape(repr(z))} .*r = {re.escape(repr(r))}"
+    with pytest.raises(ConvergenceError, match=match):
+        sample(r, z)
 
 
 def test_sample_basic_fields():

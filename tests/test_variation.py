@@ -4,8 +4,9 @@ import math
 
 import pytest
 
+from annulus_metrics import hardy
 from annulus_metrics.errors import DomainError
-from annulus_metrics.hardy import Truncation, j_functions_on_A_r
+from annulus_metrics.hardy import Truncation, j_functions_on_A_r, moment_sums_on_A_r
 from annulus_metrics.metrics import sample
 from annulus_metrics.variation import (
     Classification,
@@ -140,6 +141,24 @@ def test_run_sweep_parallel_deterministic():
     assert serial == auto == four
     with pytest.raises(DomainError):
         run_sweep(spec, parallelism=-1)
+
+
+def test_run_sweep_sums_each_row_once(monkeypatch):
+    calls = []
+    real = hardy.moment_sums
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hardy, "moment_sums", counted)
+    spec = SweepSpec((1e-2, 1e-3), (0.3, 0.5, 0.7), ("c", "kappa_s"))
+    rows = run_sweep(spec)
+    assert len(calls) == len(rows) == 6
+    for row in rows:
+        ms = moment_sums_on_A_r(row.r, row.lam)
+        assert (row.n_used, row.tail_bound) == (ms.n_used, ms.tail_bound)
+        assert row.value("c") == 2 * PI * j_functions_on_A_r(row.r, row.lam).j0
 
 
 def test_run_sweep_records_errors_per_row():
