@@ -263,7 +263,7 @@ def cmd_geodesic(args) -> int:
     if args.closed and args.z0 is not None:
         raise DomainError("choose either --closed or a trace launch with --z0, not both")
     if args.closed:
-        found = find_closed_geodesic(r, args.metric, tr)
+        found = find_closed_geodesic(r, args.metric)
         header = ("r", "metric", "rho_star", "length", "residual")
         row = (r, args.metric, found.rho_star, found.length, found.residual)
         meta = [f"command=geodesic closed r={_fmt(r)} metric={args.metric}"]
@@ -295,7 +295,6 @@ def cmd_geodesic(args) -> int:
         GeodesicState(z0, v0),
         t_end,
         step_tol=step_tol,
-        tr=tr,
         project=args.project,
     )
     header = ("t", "re_z", "im_z", "abs_z", "speed", "winding")

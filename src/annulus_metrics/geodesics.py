@@ -13,6 +13,11 @@ The integrator is a Dormand-Prince 5(4) pair whose acceptance test also
 bounds the per-step change of E, so long traces conserve the speed to
 roughly the step tolerance without any re-projection.
 
+MetricField takes m and its gradient from Ramanujan's 1psi1 product
+for the kernel diagonal (in hardy), at the same cost at every |z|.  A
+trace escapes within ESCAPE_COLLAR of a circle or at the escape horizon
+Q_HORIZON, about 4.5e-5 (relative) from one, where the field stops.
+
 Radial structure: both densities blow up like 1/dist at the boundary,
 so f(rho) = rho * m(rho) tends to +inf at both ends and circle
 geodesics sit at its interior critical points.  By the Clairaut
@@ -48,12 +53,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InternalConsistencyError
-from .hardy import HARD_CAP, Truncation
+from .hardy import _DiagonalProduct, _check_r, _poly
 
 TWO_PI = 2.0 * math.pi
 
 #: |z| within this distance of a boundary circle stops a trace as escaped.
 ESCAPE_COLLAR = 1e-9
+
+#: MetricField raises ConvergenceError past max(|z|^2, r^2/|z|^2) = this, the
+#: largest q whose pair count max(32, floor(42/l + 4 ln(42/l + 8)/l) + 1),
+#: l = -ln q, the field's former Laurent sum kept within 2^20: traces escape
+#: where they did.  Past it, in a boundary funnel, DP45 holds the angular
+#: momentum only to a few 1e-7, and a per-step guard on it collapses the
+#: steps, since the position resolves the density there to eps/distance.
+Q_HORIZON = 0.999910148850554
 
 #: closure distances below this mean the trace returned to its start.
 CLOSURE_TOL = 1e-6
@@ -152,84 +165,49 @@ class SpiralReport(NamedTuple):
     succeeded: bool
 
 
+def _trace_from_samples(ts, positions, velocities, speeds, thetas, **status) -> GeodesicTrace:
+    """A GeodesicTrace with its winding count and its length by the trapezoid rule."""
+    length = 0.0
+    for i in range(1, len(ts)):
+        length += 0.5 * (speeds[i] + speeds[i - 1]) * (ts[i] - ts[i - 1])
+    winding = int(math.floor((thetas[-1] + math.pi) / TWO_PI))
+    return GeodesicTrace(
+        *map(tuple, (ts, positions, velocities, speeds, thetas)), winding, length, **status
+    )
+
+
 class _StageOutside(Exception):
     """An internal stage point left the open annulus."""
-
-
-def _check_radius(r: float) -> float:
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and 0.0 < r < 1.0):
-        raise DomainError(f"inner radius must lie strictly between 0 and 1, got {r!r}")
-    return float(r)
 
 
 class MetricField:
     """Evaluator for one density m and d/dz log m^2 at fixed (r, metric).
 
-    Every quantity reduces to Laurent sums p_jk = sum over n of
-    (n)_j (n)_k rho^(2n-j-k) / (1 + r^(2n+1)), all real, with the angular
-    dependence a constant phase.  For fixed r the n-dependent weights are
-    cached, so one evaluation is a single shared exponential array plus a
-    few dot products.  Arrays grow by doubling as points approach the
-    boundary.  Plain dot summation gives ~1e-15 relative accuracy, ample
-    for integration at 1e-9 tolerance; tests cross-check this evaluator
-    against the compensated kernel-jet route.
+    From K(v) = log 2*pi*S(z, z), v = log|z|^2, and its v-derivatives,
+    taken from the 1psi1 product of hardy._DiagonalProduct:
+
+        c = e^K,              d/dz log c^2 = 2 K' / z,
+        s = sqrt(K'') / |z|,  d/dz log s^2 = (K''' / K'' - 1) / z.
+
+    Points past Q_HORIZON raise ConvergenceError (see Q_HORIZON).
     """
 
-    def __init__(self, r: float, metric: str, tr: Truncation = Truncation()):
+    def __init__(self, r: float, metric: str):
         if metric not in ("c", "s"):
             raise DomainError(f"metric must be 'c' or 's', got {metric!r}")
-        self.r = _check_radius(r)
+        _check_r(r)
+        self.r = float(r)
         self.metric = metric
-        self.tr = tr
-        self._log_r = math.log(self.r)
-        self._npairs = 0
-        self._grow(256)
+        self._product = _DiagonalProduct(self.r)
 
-    def _grow(self, npairs: int) -> None:
-        npairs = min(npairs, HARD_CAP)
-        if npairs <= self._npairs:
-            return
-        p = np.arange(npairs, dtype=float)
-        n = np.empty(2 * npairs)
-        n[0::2] = p
-        n[1::2] = -p - 1.0
-        self._n = n
-        self._two_n = 2.0 * n
-        # log(1 + r^(2n+1)); logaddexp keeps the huge negative-n branch finite
-        self._lg = np.logaddexp(0.0, (2.0 * n + 1.0) * self._log_r)
-        self._w10 = n
-        self._w11 = n * n
-        self._w20 = n * (n - 1.0)
-        self._w21 = n * n * (n - 1.0)
-        self._npairs = npairs
-
-    def _pairs_needed(self, q: float) -> int:
-        # terms decay like |n|^3 * q^|n|; aim the bare tail at ~1e-18
-        lq = -math.log(q)
-        m0 = 42.0 / lq
-        m = m0 + 4.0 * math.log(m0 + 8.0) / lq
-        return max(32, int(m) + 1)
-
-    def _sums(self, rho: float):
+    def _jet(self, rho: float, orders: tuple) -> list:
         q = max(rho * rho, (self.r / rho) ** 2)
-        npairs = self._pairs_needed(q)
-        while True:
-            if npairs > HARD_CAP:
-                raise ConvergenceError(
-                    f"density series too slow at |z| = {rho:.6g} within {HARD_CAP} pairs"
-                )
-            self._grow(max(npairs, 2 * self._npairs if npairs > self._npairs else 0))
-            m = 2 * npairs
-            base = np.exp(self._two_n[:m] * math.log(rho) - self._lg[:m])
-            # a-posteriori tail check on the heaviest weight, |n|^3
-            growth = ((npairs + 4) / max(npairs - 3, 1)) ** 3
-            qg = q * growth
-            last = max(base[m - 2], base[m - 1]) * (npairs + 1) ** 3
-            if qg < 1.0 and last * qg / (1.0 - qg) <= self.tr.tail_tol * max(
-                float(np.sum(base)), 1e-300
-            ):
-                return base, m
-            npairs *= 2
+        if q > Q_HORIZON:
+            raise ConvergenceError(
+                f"density field stops at the escape horizon: |z| = {rho!r} with r = {self.r!r}"
+                f" gives max(|z|^2, r^2/|z|^2) = {q!r} > Q_HORIZON = {Q_HORIZON!r}"
+            )
+        return self._product.jet(rho, orders)
 
     def density_and_log_gradient(self, z: complex) -> tuple:
         """Return (m(z), d/dz log m(z)^2)."""
@@ -237,24 +215,16 @@ class MetricField:
         rho = abs(z)
         if not (self.r < rho < 1.0):
             raise DomainError(f"z = {z!r} is outside the open annulus ({self.r}, 1)")
-        base, m = self._sums(rho)
-        p00 = float(np.sum(base))
-        p10 = float(base @ self._w10[:m]) / rho
         phase = complex(z.real / rho, -z.imag / rho)  # e^{-i arg z}
         if self.metric == "c":
-            return p00, 2.0 * phase * (p10 / p00)
-        r2 = rho * rho
-        p11 = float(base @ self._w11[:m]) / r2
-        p20 = float(base @ self._w20[:m]) / r2
-        p21 = float(base @ self._w21[:m]) / (r2 * rho)
-        a = p10 / p00
-        h = p11 / p00 - a * a
-        if h <= 0.0:
+            k0, k1 = self._jet(rho, (0, 1))
+            return math.exp(k0), 2.0 * phase * (k1 / rho)
+        k2, k3_less_k2 = self._jet(rho, (2, 3))
+        if not k2 > 0.0:
             raise InternalConsistencyError(
-                f"log-kernel Laplacian came out nonpositive ({h}) at |z| = {rho:.6g}"
+                f"log-kernel Laplacian came out nonpositive ({k2}) at |z| = {rho!r}, r = {self.r!r}"
             )
-        f21 = p21 / p00 - (2.0 * p11 * p10 + p10 * p20) / (p00 * p00) + 2.0 * a**3
-        return math.sqrt(h), phase * (f21 / h)
+        return math.sqrt(k2) / rho, phase * (k3_less_k2 / k2 / rho)
 
     def density(self, z: complex) -> float:
         return self.density_and_log_gradient(z)[0]
@@ -262,31 +232,20 @@ class MetricField:
     def waist_curvature(self) -> float:
         """Gaussian curvature of the density on the waist circle |z| = sqrt(r).
 
-        At rho = sqrt(r) the weights r^n / (1 + r^(2n+1)) are symmetric
-        about n = -1/2, so the x-derivatives of log S, x = log(rho/sqrt r),
-        are cumulants of 2n about its exact mean -1: (log S)'' = k2 and
-        (log S)'''' = k4.  With f = rho m, (log f)'' at the waist is k2
-        for c and k4 / (2 k2) for s (where m^2 = (log S)'' / (4 rho^2)),
-        and the curvature at the critical point x = 0 is -(log f)'' / f*^2.
+        -(log f)''/f*^2 with f = rho m and x = log(rho/sqrt r): (log f)'' is
+        4 K'' for c and 2 K''''/K'' for s (f = sqrt K''; K''' = 0 here).
         """
         rs = math.sqrt(self.r)
-        base, m = self._sums(rs)
-        d2 = (2.0 * self._n[:m] + 1.0) ** 2
-        w = base / float(np.sum(base))
-        k2 = float(w @ d2)
         if self.metric == "c":
-            log_f2 = k2
-        else:
-            log_f2 = (float(w @ (d2 * d2)) - 3.0 * k2 * k2) / (2.0 * k2)
-        f_star = rs * self.density(rs)
-        return -log_f2 / (f_star * f_star)
+            k0, k2 = self._jet(rs, (0, 2))
+            return -4.0 * k2 / (rs * math.exp(k0)) ** 2
+        k2, k4 = self._jet(rs, (2, 4))
+        return -2.0 * k4 / (k2 * k2)
 
 
-def geodesic_rhs(
-    r: float, metric: str, state: GeodesicState, tr: Truncation = Truncation()
-) -> complex:
+def geodesic_rhs(r: float, metric: str, state: GeodesicState) -> complex:
     """Acceleration -(d/dz log m^2) v^2 of the geodesic flow at a state."""
-    field = MetricField(r, metric, tr)
+    field = MetricField(r, metric)
     _, g = field.density_and_log_gradient(state.position)
     v = state.velocity
     return -g * v * v
@@ -295,7 +254,7 @@ def geodesic_rhs(
 def _eval(field: MetricField, z: complex, near: float):
     """Field evaluation for one integrator stage.
 
-    Out-of-annulus points and series blowup right next to the boundary
+    Out-of-annulus points and the escape horizon next to the boundary
     both surface as _StageOutside so the step controller can retreat.
     """
     try:
@@ -434,7 +393,10 @@ def _integrate(
                     band_exit = "outer"
                     break
             if len(ts) > max_steps:
-                raise ConvergenceError(f"geodesic exceeded {max_steps} accepted steps")
+                raise ConvergenceError(
+                    f"geodesic exceeded {max_steps} accepted steps at t = {t:.6g}"
+                    f" (|z| = {rho:.6g}, r = {r!r})"
+                )
             h *= min(5.0, max(0.2, 0.9 * errnorm ** -0.2)) if errnorm > 0 else 5.0
             rejects = 0
         else:
@@ -444,31 +406,17 @@ def _integrate(
                 h *= 0.5
             rejects += 1
             if fail == "outside" and h < 1e-10:
-                # the trajectory is pressed against the boundary harder
-                # than the series can resolve
+                # the trajectory is pressed against a circle or the horizon
                 escaped = True
                 break
             if rejects > 80 or h < 1e-15 * max(t, 1.0):
                 raise ConvergenceError(
-                    f"step size collapsed at t = {t:.6g} (|z| = {abs(z):.6g})"
+                    f"step size collapsed at t = {t:.6g} (|z| = {abs(z):.6g}, r = {r!r})"
                 )
 
-    length = 0.0
-    for i in range(1, len(ts)):
-        length += 0.5 * (speeds[i] + speeds[i - 1]) * (ts[i] - ts[i - 1])
-    winding = math.floor((thetas[-1] + math.pi) / TWO_PI)
-    return GeodesicTrace(
-        ts=tuple(ts),
-        positions=tuple(zs),
-        velocities=tuple(vs),
-        speeds=tuple(speeds),
-        thetas=tuple(thetas),
-        winding_count=int(winding),
-        length=length,
-        escaped=escaped,
-        band_exit=band_exit,
-        energy_drift=drift,
-        angular_drift=angular,
+    return _trace_from_samples(
+        ts, zs, vs, speeds, thetas,
+        escaped=escaped, band_exit=band_exit, energy_drift=drift, angular_drift=angular,
     )
 
 
@@ -478,7 +426,6 @@ def integrate(
     initial: GeodesicState,
     t_end: float,
     step_tol: float = 1e-9,
-    tr: Truncation = Truncation(),
     project: bool = False,
 ) -> GeodesicTrace:
     """Trace the geodesic from the given state for parameter length t_end.
@@ -489,7 +436,7 @@ def integrate(
     integrals (metric speed and angular momentum), the standard manifold
     projection for integrable flows.
     """
-    field = MetricField(r, metric, tr)
+    field = MetricField(r, metric)
     return _integrate(field, initial, t_end, step_tol, project=project)
 
 
@@ -517,9 +464,7 @@ def _bracketed_root(f, a: float, b: float, xtol: float) -> float:
     return best[1]
 
 
-def find_closed_geodesic(
-    r: float, metric: str, tr: Truncation = Truncation()
-) -> ClosedGeodesic:
+def find_closed_geodesic(r: float, metric: str) -> ClosedGeodesic:
     """Radius and length of the length-minimizing closed geodesic circle.
 
     A circle |z| = rho is a geodesic exactly when rho * m(rho) is
@@ -532,7 +477,7 @@ def find_closed_geodesic(
     returned, while the symmetric circle at sqrt(r) survives as a
     saddle, not reported here.
     """
-    field = MetricField(r, metric, tr)
+    field = MetricField(r, metric)
 
     def radial_condition(rho: float) -> float:
         _, g = field.density_and_log_gradient(complex(rho, 0.0))
@@ -541,14 +486,15 @@ def find_closed_geodesic(
     w = 1e-3 * (1.0 - field.r)
     lo, hi = field.r + w, 1.0 - w
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), 121))
-    fvals = np.array([rho * field.density(rho) for rho in grid])
+    fields = [field.density_and_log_gradient(complex(rho, 0.0)) for rho in grid]
+    fvals = np.array([rho * m for rho, (m, _) in zip(grid, fields)])
     jmin = int(np.argmin(fvals))
     if jmin == 0 or jmin == len(grid) - 1:
         raise InternalConsistencyError(
             "minimum of rho * m(rho) sits at the search boundary; the density"
             " is not behaving like a complete metric"
         )
-    rvals = [radial_condition(rho) for rho in grid]
+    rvals = [1.0 + rho * g.real for rho, (_, g) in zip(grid, fields)]
     ups = [i for i in range(len(grid) - 1) if rvals[i] < 0.0 <= rvals[i + 1]]
     downs = [i for i in range(len(grid) - 1) if rvals[i] >= 0.0 > rvals[i + 1]]
     if len(ups) not in (1, 2) or len(downs) != len(ups) - 1:
@@ -568,13 +514,6 @@ _GL_NODES, _GL_WEIGHTS = (tuple(map(float, a)) for a in np.polynomial.legendre.l
 
 #: samples a quadrature spiral records per circle length near the waist
 _SAMPLES_PER_LOOP = 64
-
-
-def _poly(coeffs: tuple, y: float) -> float:
-    acc = 0.0
-    for cf in reversed(coeffs):
-        acc = acc * y + cf
-    return acc
 
 
 def _gap_factor(coeffs: tuple, y: float, yt: float) -> float:
@@ -751,19 +690,8 @@ def _clairaut_trace(
         momenta.append(m * m * (z.conjugate() * v).imag)
     ts, _, thetas = zip(*samples)
 
-    length = 0.0
-    for i in range(1, len(ts)):
-        length += 0.5 * (speeds[i] + speeds[i - 1]) * (ts[i] - ts[i - 1])
-    trace = GeodesicTrace(
-        ts=ts,
-        positions=tuple(positions),
-        velocities=tuple(velocities),
-        speeds=tuple(speeds),
-        thetas=thetas,
-        winding_count=int(math.floor((thetas[-1] + math.pi) / TWO_PI)),
-        length=length,
-        escaped=False,
-        band_exit=band_exit,
+    trace = _trace_from_samples(
+        ts, positions, velocities, speeds, thetas, escaped=False, band_exit=band_exit,
         energy_drift=max(abs(e - speeds[0]) for e in speeds) / speeds[0],
         angular_drift=max(abs(l - momenta[0]) for l in momenta) / momenta[0],
     )
@@ -799,7 +727,6 @@ def spiral_trace(
     t_end: float,
     band: tuple | None = None,
     step_tol: float = 1e-9,
-    tr: Truncation = Truncation(),
 ) -> SpiralReport:
     """Launch a winding, non-closing trace through z0 confined to a band.
 
@@ -830,7 +757,7 @@ def spiral_trace(
     and succeeded=False: on the quadrature route that happens when t_end
     exceeds what even the smallest gap can hold.
     """
-    field = MetricField(r, metric, tr)
+    field = MetricField(r, metric)
     z0 = complex(z0)
     rho0 = abs(z0)
     if not (field.r < rho0 < 1.0):
@@ -838,7 +765,7 @@ def spiral_trace(
     if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0):
         raise DomainError(f"t_end must be a positive finite number, got {t_end!r}")
     kappa = field.waist_curvature()
-    rho_star = math.sqrt(field.r) if kappa < 0.0 else find_closed_geodesic(r, metric, tr).rho_star
+    rho_star = math.sqrt(field.r) if kappa < 0.0 else find_closed_geodesic(r, metric).rho_star
     if abs(rho0 - rho_star) < 1e-6:
         raise DomainError(
             f"|z0| = {rho0:.8g} sits on the closed geodesic circle"

@@ -30,6 +30,10 @@ Summation conventions of the core:
     depends on nothing but the weight and the annulus, so the weight-1
     sum is bitwise the same in moment_sums, on the kernel diagonal and
     in the jet entry (0, 0).
+
+The geodesic field takes log 2*pi*S(z, z) and its derivatives from a
+second core, _DiagonalProduct, Ramanujan's 1psi1 product, whose factors
+converge like r^2 at every |z|; _series stays the independent route.
 """
 
 from __future__ import annotations
@@ -190,6 +194,16 @@ def _series(a: GeneralAnnulus, theta: float, weights, tr: Truncation, what: str)
             f"{what} diverges: the annulus ({a.r_in!r}, {a.r_out!r}) misses the unit circle"
         )
     log_rin, log_rout = math.log(a.r_in), math.log(a.r_out)
+
+    def tail_bound(w_abs, n_pairs, e_last_pos, e_last_neg):
+        growth = (len(w_abs) - 1) * math.log1p(1.0 / n_pairs)
+        tail = _poly(w_abs, float(n_pairs)) * e_last_pos * _geometric(growth - 2 * log_rout)
+        return tail + _poly(w_abs, n_pairs + 1.0) * e_last_neg * _geometric(growth + 2 * log_rin)
+
+    exhausted = (
+        f"{what} did not meet tail_tol={tr.tail_tol!r} with {tr.n_max} pairs"
+        f" doubled up to the cap of {HARD_CAP}"
+    )
     out = [None] * len(weights)
     n_pairs = tr.n_max
     while n_pairs <= HARD_CAP:
@@ -204,10 +218,14 @@ def _series(a: GeneralAnnulus, theta: float, weights, tr: Truncation, what: str)
             m_neg = _poly(w, n_neg) * e_neg
             scale = math.fsum(np.abs(m_pos).tolist()) + math.fsum(np.abs(m_neg).tolist())
             w_abs = [abs(c) for c in w]
-            growth = (len(w) - 1) * math.log1p(1.0 / n_pairs)
-            tail = _poly(w_abs, float(n_pairs)) * e_pos[-1] * _geometric(growth - 2 * log_rout)
-            tail += _poly(w_abs, n_pairs + 1.0) * e_neg[-1] * _geometric(growth + 2 * log_rin)
+            tail = tail_bound(w_abs, n_pairs, e_pos[-1], e_neg[-1])
             if not tail <= tr.tail_tol * max(scale, 1e-300):
+                # a finite bound falls with the pair count and the sum grows
+                # by at most tail: failing at the cap, it fails at every count
+                if math.isfinite(tail):
+                    e_cap = np.exp(-_log_alpha(log_rin, log_rout, (HARD_CAP, -HARD_CAP - 1.0)))
+                    if tail_bound(w_abs, HARD_CAP, *e_cap) > tr.tail_tol * (scale + tail):
+                        raise ConvergenceError(exhausted)
                 continue
             if theta:
                 terms = m_pos * np.exp(1j * theta * n) + m_neg * np.exp(1j * theta * n_neg)
@@ -218,10 +236,7 @@ def _series(a: GeneralAnnulus, theta: float, weights, tr: Truncation, what: str)
         if all(o is not None for o in out):
             return out
         n_pairs *= 2
-    raise ConvergenceError(
-        f"{what} did not meet tail_tol={tr.tail_tol!r} with {tr.n_max} pairs"
-        f" doubled up to the cap of {HARD_CAP}"
-    )
+    raise ConvergenceError(exhausted)
 
 
 def _frame(r: float, lam: float, where: str) -> tuple:
@@ -239,6 +254,62 @@ def _frame(r: float, lam: float, where: str) -> tuple:
             f" lambda = {lam!r} rescales A_r to ({r_in!r}, {r_out!r})"
         )
     return GeneralAnnulus(r_in, r_out), -lam * math.log(r)
+
+
+class _DiagonalProduct:
+    """K = log 2*pi*S(z, z) on A_r and its derivatives in v = log|z|^2.
+
+    Ramanujan's 1psi1 sum (Gasper & Rahman (5.2.1)), q = r^2, t = |z|^2:
+    2*pi*S(z, z) = (q;q)^2 (-rt;q) (-r/t;q) / ((-r;q)^2 (t;q) (q/t;q)).
+    K is a constant plus terms s (-log(1 - u)), s = (-1)^j, u = s r^j t (row 0)
+    or s r^j q/t (row 1), made from rho = |z| and y = r/rho; what underflows
+    is far below K'' > sqrt(r)/4.  j = 0 holds 1 - t = (1 - rho)(1 + rho) and
+    1 - q/t = ((rho - r)/rho)((rho + r)/rho); j = -1 holds 1 + r/t, written
+    (r/t)(1 + t/r) in row 0 below the waist; j <= 2N, r^(2N+1) <= 2^-60.
+    Per term, with +- for rows 0 and 1, the v-derivatives are +-u/(1-u),
+    u/(1-u)^2, +-u(1+u)/(1-u)^3 and u(1+4u+u^2)/(1-u)^4.  jet gives K^(j)
+    for j in orders, but order 3 gives K''' - K'', summed termwise as
+    2|u|(u or -1)/(1-u)^3 so that it stays accurate where s is nearly flat.
+    """
+
+    def __init__(self, r: float):
+        self.r = r
+        log_r = math.log(r)
+        n = math.ceil((60.0 * math.log(2.0) - log_r) / (-2.0 * log_r))
+        j = np.arange(-1.0, 2 * n + 1)
+        self._powers = np.power(r, np.maximum(j, 0.0))
+        self._powers[0] = 0.0  # the j = -1 slot is filled per point
+        self._signs = np.tile(1.0 - 2.0 * (j % 2), (2, 1))
+        odd, even = self._powers[2::2], self._powers[3::2]
+        self._log_constant = 2.0 * (math.fsum(np.log1p(-even)) - math.fsum(np.log1p(odd)))
+
+    def jet(self, rho: float, orders: tuple) -> list:
+        r = self.r
+        y = r / rho
+        e = np.multiply.outer((rho * rho, y * y), self._powers)
+        below = y > rho
+        e[0, 0], e[1, 0] = (rho / y, 0.0) if below else (0.0, y / rho)
+        u = e * self._signs
+        d = 1.0 - u
+        d[0, 1] = (1.0 - rho) * (1.0 + rho)
+        d[1, 1] = ((rho - r) / rho) * ((rho + r) / rho)
+        p = e / d
+        out = []
+        for order in orders:
+            if order == 0:
+                k = self._log_constant - float(np.add.reduce(self._signs * np.log(d), None))
+                out.append(k + math.log(y / rho) if below else k)
+            elif order == 1:
+                side = np.add.reduce(p, 1)
+                out.append(float(side[0] - side[1]) - (1.0 if below else 0.0))
+            elif order == 2:
+                out.append(float(np.add.reduce(p / d, None)))
+            elif order == 3:
+                w = p / (d * d)
+                out.append(2.0 * float(np.add.reduce(u[0] * w[0]) - np.add.reduce(w[1])))
+            else:
+                out.append(float(np.add.reduce(p * (1.0 + u * (4.0 + u)) / (d * d * d), None)))
+        return out
 
 
 def moment_sums(a: GeneralAnnulus, j_max: int, tr: Truncation = Truncation()) -> MomentSums:

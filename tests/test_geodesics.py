@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -86,12 +87,12 @@ def test_state_rejects_nonfinite():
 
 
 @pytest.mark.parametrize("metric", ["c", "s"])
-@pytest.mark.parametrize("r", [0.1, 0.35])
+@pytest.mark.parametrize("r", [0.1, 0.35, 0.02, 0.9])
 def test_field_matches_kernel_jets(r, metric):
     field = MetricField(r, metric)
     rng = np.random.default_rng(20260416)
     radii = [r + 0.02, math.sqrt(r), 0.5, 0.9, 0.985]
-    for rho in radii:
+    for rho in (rho for rho in radii if r < rho):
         z = rho * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
         m, g = field.density_and_log_gradient(z)
         m_ref, g_ref = kernel_route(r, metric, z)
@@ -130,6 +131,64 @@ def test_field_raises_convergence_at_hard_cap():
     field = MetricField(0.3, "c")
     with pytest.raises(ConvergenceError):
         field.density(1.0 - 1e-8)
+
+
+def test_horizon_is_where_the_laurent_pair_count_hit_the_cap():
+    # the a-priori pair count of the former Laurent field; Q_HORIZON is the
+    # largest q whose count stays within the cap of 2^20 pairs
+    def pairs(q):
+        lq = -math.log(q)
+        m0 = 42.0 / lq
+        return max(32, int(m0 + 4.0 * math.log(m0 + 8.0) / lq) + 1)
+
+    lo, hi = 0.5, 1.0
+    while math.nextafter(lo, 1.0) < hi:
+        mid = 0.5 * (lo + hi)
+        mid = mid if lo < mid < hi else math.nextafter(lo, 1.0)
+        lo, hi = (mid, hi) if pairs(mid) <= 2**20 else (lo, mid)
+    assert lo == geodesics.Q_HORIZON
+
+
+@pytest.mark.parametrize("metric", ["c", "s"])
+@pytest.mark.parametrize("r", [0.1, 0.5])
+def test_field_answers_up_to_the_horizon_and_raises_past_it(r, metric):
+    field = MetricField(r, metric)
+
+    def q(rho):
+        return max(rho * rho, (r / rho) ** 2)
+
+    # last radius inside the horizon at each circle, and its neighbour past it
+    outer = math.sqrt(geodesics.Q_HORIZON)
+    while q(outer) > geodesics.Q_HORIZON:
+        outer = math.nextafter(outer, 0.0)
+    while q(math.nextafter(outer, 1.0)) <= geodesics.Q_HORIZON:
+        outer = math.nextafter(outer, 1.0)
+    inner = r / math.sqrt(geodesics.Q_HORIZON)
+    while q(inner) > geodesics.Q_HORIZON:
+        inner = math.nextafter(inner, 1.0)
+    while q(math.nextafter(inner, 0.0)) <= geodesics.Q_HORIZON:
+        inner = math.nextafter(inner, 0.0)
+    for inside, past in ((outer, math.nextafter(outer, 1.0)), (inner, math.nextafter(inner, 0.0))):
+        m, g = field.density_and_log_gradient(inside)
+        assert math.isfinite(m) and m > 0.0 and cmath.isfinite(g)
+        message = rf"\|z\| = {re.escape(repr(past))} with r = {r!r} .* > Q_HORIZON"
+        with pytest.raises(ConvergenceError, match=message):
+            field.density(past)
+
+
+@pytest.mark.parametrize("metric", ["c", "s"])
+def test_field_at_tiny_r_stays_finite(metric):
+    # r^2 underflows at r = 1e-300; every factor is formed from |z| and
+    # r/|z| instead, so the field holds next to the inner circle too
+    r = 1e-300
+    field = MetricField(r, metric)
+    for rho in (1.5 * r, math.sqrt(r), 0.5):
+        z = rho * cmath.exp(0.3j)
+        m, g = field.density_and_log_gradient(z)
+        assert math.isfinite(m) and m > 0.0 and cmath.isfinite(g)
+    # away from the hole both densities are the disc's 1/(1 - |z|^2)
+    assert field.density(0.5) == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert math.isfinite(field.waist_curvature())
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +275,27 @@ def test_bracketed_root_matches_brentq(monkeypatch):
         ref = brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
         assert abs(x - ref) <= 2e-14
         assert abs(f(x)) <= max(abs(f(ref)), 1e-13)
+
+
+@pytest.mark.parametrize("r, metric", [(0.1, "s"), (0.02, "s"), (0.3, "c")])
+def test_closed_circle_grid_evaluates_the_field_once_per_point(monkeypatch, r, metric):
+    calls, root_calls = [], []
+    evaluate = MetricField.density_and_log_gradient
+    solve = geodesics._bracketed_root
+
+    def counted(self, z):
+        calls.append(z)
+        return evaluate(self, z)
+
+    def counted_root(f, a, b, xtol):
+        return solve(lambda x: root_calls.append(x) or f(x), a, b, xtol)
+
+    monkeypatch.setattr(MetricField, "density_and_log_gradient", counted)
+    monkeypatch.setattr(geodesics, "_bracketed_root", counted_root)
+    circle = find_closed_geodesic(r, metric)
+    # 121 grid points, the root search, then the residual and the length
+    assert len(calls) == 121 + len(root_calls) + 2
+    assert calls[-2] == calls[-1] == complex(circle.rho_star, 0.0)
 
 
 def test_symmetric_circle_is_critical_in_both_regimes():
@@ -692,6 +772,23 @@ def test_integrate_validates_arguments():
         integrate(0.1, "s", good, 1.0, step_tol=0.01)
     with pytest.raises(DomainError):
         integrate(0.1, "q", good, 1.0)
+
+
+def test_integrator_errors_name_r():
+    with pytest.raises(ConvergenceError, match=r"exceeded 5 accepted steps .*, r = 0\.3\)"):
+        _integrate(MetricField(0.3, "s"), generic_state(), 3.0, max_steps=5)
+
+    class Jumpy:
+        # the density doubles after the launch, so no step conserves speed
+        r = 0.3
+        launched = False
+
+        def density_and_log_gradient(self, z):
+            m, self.launched = (2.0 if self.launched else 1.0), True
+            return m, 0j
+
+    with pytest.raises(ConvergenceError, match=r"step size collapsed .*\(\|z\| = 0\.52, r = 0\.3\)"):
+        _integrate(Jumpy(), generic_state(), 3.0)
 
 
 def test_trace_container_basics():

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -270,6 +271,86 @@ def test_series_errors_name_the_series_the_point_and_the_pairs():
     )
     with pytest.raises(ConvergenceError, match=message):
         szego_kernel(0.3, z, z, Truncation(n_max=HARD_CAP))
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: szego_kernel(0.3, 1 - 1e-8, 1 - 1e-8), r"kernel series at \|z\| = 0\.99999999"),
+        (
+            lambda: moment_sums(GeneralAnnulus(1 - 1e-9, 1 + 1e-9), 4),
+            r"moment sums on the annulus \(0\.999999999, 1\.000000001\)",
+        ),
+    ],
+)
+def test_series_gives_up_after_one_pass(monkeypatch, call, what):
+    # near a circle the tail bound at HARD_CAP pairs already fails, so the
+    # sum raises after its first pass instead of doubling up to the cap
+    sizes = []
+    log_alpha = hardy._log_alpha
+
+    def counted(log_rin, log_rout, n):
+        sizes.append(np.size(n))
+        return log_alpha(log_rin, log_rout, n)
+
+    monkeypatch.setattr(hardy, "_log_alpha", counted)
+    message = what + rf".* did not meet tail_tol=1e-12 with 512 pairs doubled up to the cap of {HARD_CAP}"
+    with pytest.raises(ConvergenceError, match=message):
+        call()
+    # one pass of 513 terms on each side, then the two terms at the cap
+    assert sizes == [513, 513, 2]
+
+
+def kernel_log_jet_mp(r, rho, top=3):
+    """K(v) = log 2*pi*S(z, z), v = log|z|^2, and top derivatives, to 40 digits.
+
+    mpmath differentiates the 1psi1 product numerically; the working
+    precision grows with -log10(r) so that derivatives far below K itself
+    (K'' is about sqrt(r) at the quarter points of a tiny r) stay resolved.
+    """
+    with mpmath.workdps(60 + int(-math.log10(r))):
+        r = mpmath.mpf(r)
+        q = r * r
+        n = int(mpmath.ceil((mpmath.mp.dps + 5) / (-2 * mpmath.log10(r)))) + 2
+
+        def k(v):
+            t = mpmath.exp(v)
+            num = den = qj = mpmath.mpf(1)
+            for _ in range(n):
+                num *= (1 - q * qj) ** 2 * (1 + r * qj * t) * (1 + r * qj / t)
+                den *= (1 + r * qj) ** 2 * (1 - qj * t) * (1 - q * qj / t)
+                qj *= q
+            return mpmath.log(num / den)
+
+        return list(mpmath.diffs(k, 2 * mpmath.log(mpmath.mpf(rho)), top))
+
+
+@pytest.mark.parametrize("r", [1e-300, 1e-8, 0.02, 0.3, 0.9])
+def test_diagonal_product_matches_mpmath(r):
+    # c = e^K, d/dz log c^2 = 2K'/z, s = sqrt(K'')/|z| and
+    # d/dz log s^2 = (K'''/K'' - 1)/z at the quarter points and the waist
+    # in log|z|, and 1e-9 (relative) from each circle; along the real axis
+    # the 1/z is common to both routes, so the checks compare the v-jets
+    product = hardy._DiagonalProduct(r)
+    for rho in (r / (1 - 1e-9), r**0.75, math.sqrt(r), r**0.25, 1 - 1e-9):
+        k0, k1, k2, k3_less_k2 = product.jet(rho, (0, 1, 2, 3))
+        ref = kernel_log_jet_mp(r, rho)
+        with mpmath.workdps(40):
+            # e^K overflows next to the inner circle of r = 1e-300
+            assert abs(mpmath.expm1(k0 - ref[0])) <= 1e-13
+            # K' (so d log c^2) crosses zero where c is least, near r^(1/4)
+            # for small r, so there it is held to K'' = dK'/dv instead
+            assert abs(k1 - ref[1]) <= 1e-13 * max(abs(ref[1]), ref[2])
+            assert abs(mpmath.sqrt(k2 / ref[2]) - 1) <= 1e-13
+            assert abs(k3_less_k2 / k2 / (ref[3] / ref[2] - 1) - 1) <= 1e-13
+
+
+def test_diagonal_product_fourth_derivative():
+    # K'''' enters the waist curvature of s, -2 K''''/K''^2; r = 0.043 is
+    # next to the U/W transition, where that curvature changes sign
+    for r, rho in ((0.1, 0.4), (0.043, math.sqrt(0.043)), (1e-8, 1e-5)):
+        (k4,) = hardy._DiagonalProduct(r).jet(rho, (4,))
+        assert k4 == pytest.approx(float(kernel_log_jet_mp(r, rho, 4)[4]), rel=1e-13)
 
 
 def test_j_function_errors_name_the_annulus(monkeypatch):
