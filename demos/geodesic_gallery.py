@@ -51,10 +51,17 @@ def main():
     print("a non-closing spiral in the stable small-r regime:")
     report = spiral_trace(0.02, "s", 0.16, 150.0)
     tr = report.trace
-    print(f"  r = 0.02, launch |z| = 0.16, integrated t = 150")
+    print(f"  r = 0.02, tangential launch at |z| = 0.16, traced by quadrature to t = 150")
     print(f"  windings {tr.winding_count}, radius range [{report.rho_min:.6f}, {report.rho_max:.6f}]")
+    print("  (it oscillates between |z0| and the mirror radius r/|z0| = 0.125)")
     print(f"  closes on itself: {report.closed} (closure distance {report.closure_distance:.2e})")
     print(f"  conserved-quantity drifts {tr.energy_drift:.2e}, {tr.angular_drift:.2e}")
+    rho1 = find_closed_geodesic(0.02, "s").rho_star
+    flank = max(rho1, 0.02 / rho1)
+    report = spiral_trace(0.02, "s", 0.3, 40.0)
+    print(f"  from |z| = 0.3, outside the flank circle at {flank:.6f}, the orbit spirals")
+    print(f"  in to within {abs(report.rho_min - flank):.0e} of it and out again as at an unstable")
+    print(f"  waist ({report.trace.winding_count} windings by t = 40)")
     print()
 
     print("near the unstable waist the orbit is chosen by its Clairaut constant:")

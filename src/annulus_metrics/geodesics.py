@@ -36,10 +36,11 @@ f >= |L|/E, so the shape of f decides everything.  Two regimes occur:
     scalar, down to the smallest positive double; for s at r = 0.1 that
     orbit spends about fifty windings on each side of its turn.
 
-  * waist curvature positive (s for r below roughly 0.04): f is
+  * waist curvature positive (s for r below e^-pi, about 0.0432): f is
     W-shaped, the symmetric circle at sqrt(r) is a stable local
-    maximum of f flanked by two length-minimizing circles, and
-    tangential launches near sqrt(r) oscillate radially forever.
+    maximum of f flanked by two length-minimizing circles, tangential
+    launches between those oscillate radially forever, and orbits
+    outside them spiral at the nearer one as at an unstable waist.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InternalConsistencyError
+from .errors import ConvergenceError, DomainError, InternalConsistencyError, RangeError
 from .hardy import _DiagonalProduct, _check_r, _poly
 
 TWO_PI = 2.0 * math.pi
@@ -121,7 +122,7 @@ class GeodesicState:
 @dataclass(frozen=True)
 class GeodesicTrace:
     """Sampled geodesic: one entry per accepted integrator step, or per
-    quadrature panel on the Clairaut route of spiral_trace.
+    quadrature panel of spiral_trace.
 
     speeds[i] is the metric speed m|v| at sample i, which is the
     conserved quantity; thetas[i] is the unwrapped angle swept since the
@@ -218,29 +219,39 @@ class MetricField:
         phase = complex(z.real / rho, -z.imag / rho)  # e^{-i arg z}
         if self.metric == "c":
             k0, k1 = self._jet(rho, (0, 1))
-            return math.exp(k0), 2.0 * phase * (k1 / rho)
-        k2, k3_less_k2 = self._jet(rho, (2, 3))
-        if not k2 > 0.0:
-            raise InternalConsistencyError(
-                f"log-kernel Laplacian came out nonpositive ({k2}) at |z| = {rho!r}, r = {self.r!r}"
+            try:
+                m = math.exp(k0)
+            except OverflowError:
+                m = math.inf
+            g = 2.0 * phase * (k1 / rho)
+        else:
+            k2, k3_less_k2 = self._jet(rho, (2, 3))
+            if not k2 > 0.0:
+                raise InternalConsistencyError(
+                    f"log-kernel Laplacian came out nonpositive ({k2})"
+                    f" at |z| = {rho!r}, r = {self.r!r}"
+                )
+            m, g = math.sqrt(k2) / rho, phase * (k3_less_k2 / k2 / rho)
+        if not (math.isfinite(m) and cmath.isfinite(g)):
+            raise RangeError(
+                f"density field at |z| = {rho!r} with r = {self.r!r} is past double range"
             )
-        return math.sqrt(k2) / rho, phase * (k3_less_k2 / k2 / rho)
+        return m, g
 
     def density(self, z: complex) -> float:
         return self.density_and_log_gradient(z)[0]
 
-    def waist_curvature(self) -> float:
-        """Gaussian curvature of the density on the waist circle |z| = sqrt(r).
+    def curvature(self, rho: float) -> float:
+        """Gaussian curvature of the density on the circle |z| = rho.
 
-        -(log f)''/f*^2 with f = rho m and x = log(rho/sqrt r): (log f)'' is
-        4 K'' for c and 2 K''''/K'' for s (f = sqrt K''; K''' = 0 here).
+        -(log f)''/f^2 with f = rho m and x = log rho: (log f)'' is 4 K''
+        for c and 2 (K''''/K'' - (K'''/K'')^2) for s (f = sqrt K'').
         """
-        rs = math.sqrt(self.r)
         if self.metric == "c":
-            k0, k2 = self._jet(rs, (0, 2))
-            return -4.0 * k2 / (rs * math.exp(k0)) ** 2
-        k2, k4 = self._jet(rs, (2, 4))
-        return -2.0 * k4 / (k2 * k2)
+            k0, k2 = self._jet(rho, (0, 2))
+            return -4.0 * k2 / (rho * math.exp(k0)) ** 2
+        k2, k3_less_k2, k4 = self._jet(rho, (2, 3, 4))
+        return -2.0 * (k4 - (k3_less_k2 + k2) ** 2 / k2) / (k2 * k2)
 
 
 def geodesic_rhs(r: float, metric: str, state: GeodesicState) -> complex:
@@ -336,7 +347,7 @@ def _integrate(
             sc_z = 1e-30 + step_tol * max(abs(z), abs(z_new))
             sc_v = 1e-30 + step_tol * max(abs(v), abs(v_new))
             errnorm = math.sqrt(0.5 * ((abs(err_z) / sc_z) ** 2 + (abs(err_v) / sc_v) ** 2))
-            if errnorm > 1.0:
+            if not errnorm <= 1.0:
                 fail = "accuracy"
             elif abs(z_new - z) > 0.2 * abs(z):
                 fail = "jump"
@@ -401,7 +412,8 @@ def _integrate(
             rejects = 0
         else:
             if fail == "accuracy":
-                h *= min(0.9, max(0.1, 0.9 * errnorm ** -0.2))
+                # a NaN error norm (a non-finite field value) takes the floor
+                h *= min(0.9, max(0.1, 0.9 * errnorm ** -0.2)) if math.isfinite(errnorm) else 0.1
             else:
                 h *= 0.5
             rejects += 1
@@ -512,16 +524,16 @@ def find_closed_geodesic(r: float, metric: str) -> ClosedGeodesic:
 # 8-point Gauss-Legendre rule for the panels of the Clairaut quadrature
 _GL_NODES, _GL_WEIGHTS = (tuple(map(float, a)) for a in np.polynomial.legendre.leggauss(8))
 
-#: samples a quadrature spiral records per circle length near the waist
+#: samples a quadrature spiral records per circle length
 _SAMPLES_PER_LOOP = 64
 
 
 def _gap_factor(coeffs: tuple, y: float, yt: float) -> float:
     """(y P(y) - yt P(yt)) / (y - yt) for the polynomial P = coeffs.
 
-    This is the divided difference of g = x^2 P(x^2) in y = x^2, summed
-    as sum_k P_k (y^k + y^(k-1) yt + ... + yt^k), so nothing cancels
-    when y approaches the turning value yt.
+    This is the divided difference of g = y P(y), summed as
+    sum_k P_k (y^k + y^(k-1) yt + ... + yt^k), so nothing cancels when y
+    approaches the turning value yt.
     """
     acc = 0.0
     h = 0.0
@@ -533,81 +545,128 @@ def _gap_factor(coeffs: tuple, y: float, yt: float) -> float:
     return acc
 
 
-def _waist_model(field: MetricField, f_star: float, kappa: float) -> tuple:
-    """Coefficients of the even model f(x) - f* = x^2 P(x^2) at the waist.
+def _local_model(field: MetricField, centre: float, f_c: float, kappa: float) -> tuple:
+    """Coefficients P of the model f - f_c = v P(v) about a critical circle of f.
 
-    Here f(x) = rho m(rho) at rho = sqrt(r) e^x, which the inversion
-    symmetry makes even in x.  For a radial metric the curvature at the
-    critical point x = 0 is kappa = -f''(0) / f*^3, so P(0) = a/2 with
-    a = -kappa f*^3 comes from the curvature alone.  The next four
-    coefficients are a least-squares fit to direct differences f - f*
-    on (0, X/20], X = log(1/sqrt r) being the distance from the waist
-    to the boundary singularities of f.
+    Here f(x) = rho m(rho) at rho = sqrt(r) e^x and xi = x - centre.  At
+    the waist (centre 0) the inversion symmetry makes f even and v = xi^2;
+    at a flank circle of the W regime v = xi and P_0 = 0, so that
+    f - f_c = xi^2 (P_1 + P_2 xi + ...) has odd terms.  For a radial metric
+    kappa = -f''/f_c^3 at a critical point, so the xi^2 coefficient
+    a/2 = -kappa f_c^3 / 2 comes from the curvature alone.  The rest are a
+    least-squares fit to direct differences f - f_c on (0, X/20] (waist)
+    or [-X/20, X/20] (flank), X = log(1/sqrt r) being the distance from
+    the waist to the boundary singularities of f.
     """
     rs = math.sqrt(field.r)
+    power = 2 if centre == 0.0 else 1
     x_fit = -0.025 * math.log(field.r)
-    xs = x_fit * np.cos(np.pi * (np.arange(12) + 0.5) / 24.0)
-    g = np.array([rs * math.exp(x) * field.density(rs * math.exp(x)) for x in xs]) - f_star
-    a_half = -0.5 * kappa * f_star**3
-    yn = (xs / x_fit) ** 2
-    design = np.vstack([yn**k for k in range(1, 5)]).T
+    xs = x_fit * np.cos(np.pi * (np.arange(24 // power) + 0.5) / 24.0)
+    g = np.array([rs * math.exp(x) * field.density(rs * math.exp(x)) for x in centre + xs]) - f_c
+    a_half = -0.5 * kappa * f_c**3
+    vn = (xs / x_fit) ** power
+    design = np.vstack([vn**k for k in range(1, 1 + 8 // power)]).T
     fit, *_ = np.linalg.lstsq(design, g / (xs * xs) - a_half, rcond=None)
-    return (a_half,) + tuple(float(q) / x_fit ** (2 * k) for k, q in enumerate(fit, 1))
+    coeffs = (a_half,) + tuple(float(q) / x_fit ** (power * k) for k, q in enumerate(fit, 1))
+    return coeffs if power == 2 else (0.0,) + coeffs
 
 
 class _ClairautOrbit:
-    """Radial profile of a unit-speed orbit with Clairaut constant f* + WAIST_GAP.
+    """Radial profile of a unit-speed orbit with Clairaut constant c.
 
     With metric speed 1 and c = L, x = log(rho / sqrt r) obeys
 
         dt = f^2 dx / sqrt(f^2 - c^2),   dtheta = c dx / sqrt(f^2 - c^2).
 
-    Just above the waist level f* the orbit turns at the x_t where
-    f(x_t) = c, and the substitution x = x_t cosh(u) integrates the
-    turning-point singularity in closed form, dx / sqrt(x^2 - x_t^2) = du,
-    leaving a smooth integrand.  The orbit is parametrized by s with
-    u = |s|: s < 0 runs towards the waist, s > 0 away from it.  Within
-    X/80 of the waist f - c comes from the even model of _waist_model,
-    factored as (x^2 - x_t^2) times a divided difference, so the gap is
-    never subtracted from anything; farther out f - f* is a direct
-    difference, good to about 1e-12 there.
+    The orbit lies on the side `side` of the circle |x| = centre, at the
+    offset xi from it, and s makes both integrands smooth at the turns:
+
+      * a turning orbit has c = f_c + WAIST_GAP, just above the minimum
+        f_c of f on the circle, and turns at the offset x_t where f = c:
+        xi = x_t cosh(s), s < 0 on the way in and s > 0 on the way out;
+      * a well orbit (x_turn given) is the tangential launch at
+        |x| = x_turn about the stable waist (centre 0), so c = f there:
+        xi = x_t sin(s) from s = pi/2, with panels ending on the turns
+        s = pi/2 + k pi, where dt/ds is 0/0.
+
+    Where xi and x_t lie within X/80 of the circle, f comes from the model
+    v P(v) of _local_model and f - c from (v - v_t) times _gap_factor, so
+    the gap is never subtracted from anything; elsewhere f comes from the
+    field, good to about 1e-12 in f - c.
     """
 
-    def __init__(self, field: MetricField, side: float, f_star: float, coeffs: tuple):
+    def __init__(self, field, side, centre, f_c, coeffs, x_turn=None):
         self.field = field
         self.side = side
-        self.f_star = f_star
+        self.centre = centre
+        self.f_c = f_c
         self.coeffs = coeffs
-        self.c = f_star + WAIST_GAP
+        self.power = 2 if centre == 0.0 else 1
         self.x_model = -0.00625 * math.log(field.r)
-        # x_t^2 solves (a/2) y + P_1 y^2 = WAIST_GAP; the higher terms sit
-        # far below its last bit.  The root is taken in the form that
-        # never divides by a, which vanishes at the U/W transition.
-        a_half, p1 = coeffs[0], coeffs[1]
-        self.x_turn = math.sqrt(2.0 * WAIST_GAP) / math.sqrt(
-            a_half + math.sqrt(a_half * a_half + 4.0 * p1 * WAIST_GAP)
-        )
+        self.well = x_turn is not None
+        if self.well:
+            self.x_turn = x_turn
+            rho = math.sqrt(field.r) * math.exp(side * x_turn)
+            self.c = rho * field.density(rho)
+            # equal panels, a whole number per half period, doubled until its
+            # time settles to 1e-10, or to the floor that the rounding of c
+            # sets next to a flank circle, where the period is ill-conditioned
+            n, change = 8, math.inf
+            while True:
+                step = abs(self._half_period(2 * n) / self._half_period(n) - 1.0)
+                if step <= 1e-10 or (change < 1e-6 and step > 0.5 * change):
+                    break
+                n, change = 2 * n, step
+                if n == 512:
+                    raise ConvergenceError(
+                        f"the oscillation from |z0| = {rho:.8g} with r = {field.r!r}"
+                        f" does not settle at {n} panels per half period"
+                    )
+            self.ds = math.pi / n
+        else:
+            # v_t solves P_0 v + P_1 v^2 = WAIST_GAP (the higher terms sit far
+            # below its last bit), in the form that never divides by P_0: it
+            # vanishes at a flank circle and at the U/W transition
+            p0, p1 = coeffs[0], coeffs[1]
+            root = math.sqrt(2.0 * WAIST_GAP) / math.sqrt(
+                p0 + math.sqrt(p0 * p0 + 4.0 * p1 * WAIST_GAP)
+            )
+            self.x_turn = root if self.power == 2 else root * root
+            self.c = f_c + WAIST_GAP
+            self.ds = None
+        self.dt_target = TWO_PI * self.c / _SAMPLES_PER_LOOP
 
-    def s_at(self, x: float) -> float:
-        """The u = |s| at which the orbit reaches |x|."""
-        return math.acosh(max(x / self.x_turn, 1.0))
+    def s_at(self, xi: float) -> float:
+        """The s at which the orbit, on its way towards the circle, reaches xi."""
+        if self.well:
+            return math.pi - math.asin(max(xi / self.x_turn, -1.0))
+        return -math.acosh(max(xi / self.x_turn, 1.0))
 
     def profile(self, s: float) -> tuple:
-        """(x, f, w) at s, where w = x_t sinh|s| / sqrt(f^2 - c^2)."""
-        u = abs(s)
-        x = self.x_turn * math.cosh(u)
-        if x <= self.x_model:
-            y = x * x
-            f = self.f_star + y * _poly(self.coeffs, y)
-            gap = _gap_factor(self.coeffs, y, self.x_turn * self.x_turn)
-            return x, f, 1.0 / math.sqrt(gap * (f + self.c))
-        rho = math.sqrt(self.field.r) * math.exp(self.side * x)
-        f = rho * self.field.density(rho)
-        return x, f, self.x_turn * math.sinh(u) / math.sqrt((f - self.c) * (f + self.c))
+        """(x, f, dx/ds, w) at s, where w = |dx/ds| / sqrt(f^2 - c^2)."""
+        if self.well:
+            xi, dxi = self.x_turn * math.sin(s), self.x_turn * math.cos(s)
+        else:
+            xi, dxi = self.x_turn * math.cosh(abs(s)), self.x_turn * math.sinh(s)
+        x = self.side * (self.centre + xi)
+        if max(xi, self.x_turn) <= self.x_model:
+            v = xi**self.power
+            f = self.f_c + v * _poly(self.coeffs, v)
+            gap = _gap_factor(self.coeffs, v, self.x_turn**self.power)
+            # jac = (dxi/ds)^2 / (v - v_t): 1 for xi = x_t cosh s with
+            # v = xi^2, xi + x_t with v = xi, and -1 for xi = x_t sin s
+            jac = xi + self.x_turn if self.power == 1 else (-1.0 if self.well else 1.0)
+            w = 1.0 / math.sqrt(gap * (f + self.c) / jac)
+        else:
+            rho = math.sqrt(self.field.r) * math.exp(x)
+            f = rho * self.field.density(rho)
+            gap = (f - self.c) * (f + self.c)
+            w = abs(dxi) / math.sqrt(gap) if gap > 0.0 else math.inf
+        return x, f, self.side * dxi, w
 
     def rates(self, s: float) -> tuple:
         """(dt/ds, dtheta/ds)."""
-        _, f, w = self.profile(s)
+        _, f, _, w = self.profile(s)
         return f * f * w, self.c * w
 
     def panel(self, s0: float, s1: float) -> tuple:
@@ -620,45 +679,43 @@ class _ClairautOrbit:
             dth += weight * rth
         return half * dt, half * dth
 
+    def _half_period(self, n: int) -> float:
+        """t of a well orbit from s = pi/2 to 3 pi/2 by n equal panels."""
+        ends = [math.pi * (0.5 + k / n) for k in range(n + 1)]
+        return math.fsum(self.panel(a, b)[0] for a, b in zip(ends, ends[1:]))
 
-def _clairaut_trace(
-    field: MetricField, z0: complex, t_end: float, band: tuple, kappa: float
-) -> tuple:
-    """Quadrature spiral from z0 around an unstable waist, with its launch tilt.
 
-    The orbit leaves z0 towards the waist with Clairaut constant
-    f* + WAIST_GAP, turns just short of it and comes back out.  The trace
-    ends at t_end, or where it leaves the band if that comes first: on
-    the way in when the band stops short of the waist, else on the way
-    out.
-    Samples sit at the panel ends, about _SAMPLES_PER_LOOP per circle
-    length; speeds and drifts are measured from the samples through the
-    field evaluator, independently of the quadrature.
+def _clairaut_trace(orbit: _ClairautOrbit, z0: complex, t_end: float, band: tuple) -> SpiralReport:
+    """Report on the quadrature trace of the orbit from z0.
+
+    The trace ends at t_end, or where it leaves the band if that comes
+    first: on the way in when the band stops short of the turn, else (a
+    turning orbit) on the way out.  Samples sit at the panel ends;
+    speeds and drifts are measured from them through the field
+    evaluator, independently of the quadrature.
     """
+    field, side = orbit.field, orbit.side
     rs = math.sqrt(field.r)
-    rho0 = abs(z0)
-    side = 1.0 if rho0 > rs else -1.0
-    f_star = rs * field.density(rs)
-    orbit = _ClairautOrbit(field, side, f_star, _waist_model(field, f_star, kappa))
-    s = -orbit.s_at(abs(math.log(rho0 / rs)))
-    # a band edge between z0 and the waist stops the inward leg; else
-    # the orbit turns inside the band and can only leave it on z0's side
+    s = orbit.s_at(abs(math.log(abs(z0) / rs)) - orbit.centre)
+    # a band edge between z0 and the turn stops the inward leg; else the
+    # orbit turns inside the band and can only leave it on z0's side
     near, far = (band[0], band[1]) if side > 0 else (band[1], band[0])
-    x_near = side * math.log(near / rs)
-    if x_near > orbit.x_turn:
-        s_band = -orbit.s_at(x_near)
+    xi_near = side * math.log(near / rs) - orbit.centre
+    if xi_near > (-orbit.x_turn if orbit.well else orbit.x_turn):
+        s_band = orbit.s_at(xi_near)
         band_exit = "inner" if side > 0 else "outer"
+    elif orbit.well:
+        s_band, band_exit = math.inf, None
     else:
-        s_band = orbit.s_at(side * math.log(far / rs))
+        s_band = -orbit.s_at(side * math.log(far / rs) - orbit.centre)
         band_exit = "outer" if side > 0 else "inner"
-    dt_target = TWO_PI * f_star / _SAMPLES_PER_LOOP
 
     t = theta = 0.0
     samples = [(t, s, theta)]
     while s < s_band:
         # dt/ds grows like f towards the boundary, so this also shrinks
         # the panels where f steepens
-        ds = min(0.25, dt_target / orbit.rates(s)[0])
+        ds = orbit.ds or min(0.25, orbit.dt_target / orbit.rates(s)[0])
         s_next = min(s + ds, s_band)
         dt, dth = orbit.panel(s, s_next)
         if t + dt >= t_end:
@@ -675,14 +732,14 @@ def _clairaut_trace(
         t, s, theta = t + dt, s_next, theta + dth
         samples.append((t, s, theta))
 
-    u0 = z0 / rho0
+    u0 = z0 / abs(z0)
     positions, velocities, speeds, momenta = [], [], [], []
     for _, s_i, theta_i in samples:
-        x, f, w = orbit.profile(s_i)
-        root = orbit.x_turn * math.sinh(abs(s_i)) / w  # sqrt(f^2 - c^2)
-        z = rs * math.exp(side * x) * u0 * cmath.exp(1j * theta_i) if positions else z0
+        x, f, dx, w = orbit.profile(s_i)
+        root = abs(dx) / w  # sqrt(f^2 - c^2)
+        z = rs * math.exp(x) * u0 * cmath.exp(1j * theta_i) if positions else z0
         # at unit speed rho' = +-rho root / f^2 and rho theta' = rho c / f^2
-        v = z * complex(side * math.copysign(root, s_i), orbit.c) / (f * f)
+        v = z * complex(math.copysign(root, dx), orbit.c) / (f * f)
         m = field.density(z)
         positions.append(z)
         velocities.append(v)
@@ -695,12 +752,6 @@ def _clairaut_trace(
         energy_drift=max(abs(e - speeds[0]) for e in speeds) / speeds[0],
         angular_drift=max(abs(l - momenta[0]) for l in momenta) / momenta[0],
     )
-    # the launch velocity is u0 (i cos psi - sin psi) / m0
-    psi = cmath.phase(velocities[0] / u0) - 0.5 * math.pi
-    return trace, psi
-
-
-def _spiral_report(z0: complex, psi: float, trace: GeodesicTrace, ok: bool) -> SpiralReport:
     radii = [abs(p) for p in trace.positions]
     v0 = trace.velocities[0]
     dist = math.inf
@@ -715,8 +766,9 @@ def _spiral_report(z0: complex, psi: float, trace: GeodesicTrace, ok: bool) -> S
         rho_max=max(radii),
         closed=dist < CLOSURE_TOL,
         closure_distance=dist,
-        launch_angle=psi,
-        succeeded=ok,
+        # the launch velocity is u0 (i cos psi - sin psi) / m0
+        launch_angle=0.0 if orbit.well else cmath.phase(v0 / u0) - 0.5 * math.pi,
+        succeeded=band_exit is None,
     )
 
 
@@ -726,36 +778,30 @@ def spiral_trace(
     z0: complex,
     t_end: float,
     band: tuple | None = None,
-    step_tol: float = 1e-9,
 ) -> SpiralReport:
-    """Launch a winding, non-closing trace through z0 confined to a band.
+    """Trace a winding, non-closing geodesic through z0 confined to a band.
 
-    The route depends on the Gaussian curvature at the waist sqrt(r),
-    MetricField.waist_curvature.
+    Every spiral is an orbit chosen by its Clairaut constant and traced
+    by quadrature (see _ClairautOrbit).  Which orbit depends on the
+    Gaussian curvature at the waist sqrt(r):
 
-    Negative (U-shaped f, unstable waist): the orbit is chosen by its
-    Clairaut constant c = f* + WAIST_GAP, just above the waist level
-    f* = f(sqrt r), and traced by quadrature (see _ClairautOrbit).  It
-    spirals from z0 towards the waist, turns just short of it and
-    spirals back out; for the Szego metric at r = 0.1 the two legs take
-    about 230 time units each.  A band that stops short of the waist
-    is left on the way in.  launch_angle is the tilt of c, rounded
-    to double precision; step_tol is not used.  A step-by-step
-    integration from that rounded launch leaves the waist after about
-    five windings, because the launch state carries the gap only to
-    about 1e-16.
+    Negative (U-shaped f, unstable waist): c = f* + WAIST_GAP, just above
+    the waist level f* = f(sqrt r).  The orbit spirals from z0 towards
+    the waist, turns just short of it and spirals back out; for the
+    Szego metric at r = 0.1 the two legs take about 230 time units each.
+    launch_angle is the tilt of c, rounded to double precision, so a
+    step-by-step integration from it soon leaves the waist.
 
-    Positive (W-shaped f, stable waist): the launch direction is chosen
-    by shooting.  Tilt angles away from the counterclockwise tangent
-    are scanned (positive tilt points inward), each integrated with
-    first-integral projection and early exit on leaving the band, and
-    exits to opposite sides bracket a bisection.  The first direction
-    that survives the whole window inside the band is reported.
+    Positive (W-shaped f, stable waist between unstable flank circles
+    rho1 and r/rho1): from z0 between them the orbit is the tangential
+    launch, launch_angle 0, oscillating between |z0| and r/|z0|; from z0
+    outside them it is the construction above at the nearer flank circle.
 
-    succeeded is True exactly when the trace is still inside the band at
-    t_end.  Otherwise the report carries the longest-lived trace found,
-    and succeeded=False: on the quadrature route that happens when t_end
-    exceeds what even the smallest gap can hold.
+    A band that stops short of the turn is left on the way in.  succeeded
+    is True exactly when the trace is still inside the band at t_end.
+    Otherwise the report carries the orbit up to its band exit, and
+    succeeded=False: that also happens when t_end exceeds what even the
+    smallest gap can hold at an unstable circle.
     """
     field = MetricField(r, metric)
     z0 = complex(z0)
@@ -764,8 +810,12 @@ def spiral_trace(
         raise DomainError(f"z0 = {z0!r} is outside the open annulus ({r}, 1)")
     if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0):
         raise DomainError(f"t_end must be a positive finite number, got {t_end!r}")
-    kappa = field.waist_curvature()
-    rho_star = math.sqrt(field.r) if kappa < 0.0 else find_closed_geodesic(r, metric).rho_star
+    rs = math.sqrt(field.r)
+    circles = [rs]
+    if field.curvature(rs) > 0.0:
+        rho1 = find_closed_geodesic(r, metric).rho_star
+        circles += [rho1, field.r / rho1]
+    rho_star = min(circles, key=lambda rho: abs(rho0 - rho))
     if abs(rho0 - rho_star) < 1e-6:
         raise DomainError(
             f"|z0| = {rho0:.8g} sits on the closed geodesic circle"
@@ -778,54 +828,14 @@ def spiral_trace(
     if not (band[0] < rho0 < band[1]):
         raise DomainError(f"z0 = {z0!r} lies outside the band {band!r}")
 
-    if kappa < 0.0:
-        trace, psi = _clairaut_trace(field, z0, t_end, band, kappa)
-        return _spiral_report(z0, psi, trace, trace.band_exit is None)
-
-    u = z0 / rho0
-    m0 = field.density(z0)
-
-    def attempt(psi: float) -> GeodesicTrace:
-        v0 = (1j * u * math.cos(psi) - u * math.sin(psi)) / m0
-        return _integrate(
-            field, GeodesicState(z0, v0), t_end, step_tol, band=band, project=True
-        )
-
-    def side(trace: GeodesicTrace) -> str:
-        if trace.band_exit is not None:
-            return trace.band_exit
-        return "inner" if abs(trace.positions[-1]) < rho_star else "outer"
-
-    best = None
-
-    def consider(psi: float, trace: GeodesicTrace):
-        nonlocal best
-        if best is None or trace.ts[-1] > best[1].ts[-1]:
-            best = (psi, trace)
-
-    exits = {}
-    for psi in (0.0, 0.1, -0.1, 0.25, -0.25, 0.45, -0.45, 0.7, -0.7):
-        trace = attempt(psi)
-        consider(psi, trace)
-        if not trace.escaped and trace.band_exit is None:
-            return _spiral_report(z0, psi, trace, True)
-        exits[psi] = side(trace)
-
-    inner = [p for p, s in exits.items() if s == "inner"]
-    outer = [p for p, s in exits.items() if s == "outer"]
-    if inner and outer:
-        a = min(outer, key=lambda p: min(abs(p - q) for q in inner))
-        b = min(inner, key=lambda p: abs(p - a))
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                break
-            trace = attempt(mid)
-            consider(mid, trace)
-            if not trace.escaped and trace.band_exit is None:
-                return _spiral_report(z0, mid, trace, True)
-            if side(trace) == "outer":
-                a = mid
-            else:
-                b = mid
-    return _spiral_report(z0, best[0], best[1], False)
+    # the orbit turns at the waist, oscillates in the well between the
+    # flank circles at |x| = x1, or turns at the nearer flank circle
+    x0 = abs(math.log(rho0 / rs))
+    x1 = abs(math.log(circles[-1] / rs))  # 0 when the waist is the only circle
+    x_c = x1 if x0 > x1 else 0.0
+    rho_c = rs * math.exp(x_c)
+    f_c = rho_c * field.density(rho_c)
+    coeffs = _local_model(field, x_c, f_c, field.curvature(rho_c))
+    side = 1.0 if rho0 > rs else -1.0
+    orbit = _ClairautOrbit(field, side, x_c, f_c, coeffs, x0 if x0 < x1 else None)
+    return _clairaut_trace(orbit, z0, t_end, band)

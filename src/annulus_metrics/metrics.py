@@ -38,6 +38,7 @@ from .errors import (
     ShapeError,
 )
 from .hardy import (
+    JOnAr,
     Truncation,
     j_functions_on_A_r,
     szego_kernel,
@@ -109,13 +110,28 @@ def _context_for(r: float) -> EllipticContext:
     return make_elliptic_context(r)
 
 
+def metric_from_j(J: JOnAr, quantity: str) -> float:
+    """c, s, kappa_c or kappa_s at a point from its scaled maximal domain functions:
+      c = 2*pi*J0,  s = sqrt(J1/J0),
+      kappa_c = -(1/pi^2)*J1/J0^3,  kappa_s = 4 - 2*J0*J2/J1^2.
+    """
+    if quantity == "c":
+        return TWO_PI * J.j0
+    if quantity == "s":
+        return math.sqrt(J.j1 / J.j0)
+    if quantity == "kappa_c":
+        return -(1.0 / math.pi**2) * J.j1 / J.j0**3
+    if quantity == "kappa_s":
+        return 4.0 - 2.0 * J.j0 * J.j2 / J.j1**2
+    raise DomainError(f"quantity must be c, s, kappa_c or kappa_s, got {quantity!r}")
+
+
 def sample(r: float, z: complex, tr: Truncation = Truncation()) -> MetricSample:
     """Metric sample at z via the Hardy-series route.
 
     Rotation invariance reduces everything to |z| = r^lambda, where the
-    scaled maximal domain functions J0, J1, J2 give
-      S = J0,  c = 2*pi*J0,  s = sqrt(J1/J0),
-      kappa_s = 4 - 2*J0*J2/J1^2,  kappa_c = -(1/pi^2)*J1/J0^3.
+    scaled maximal domain functions J0, J1, J2 give S = J0 and the rest
+    (see metric_from_j).
     """
     zc = _check_interior(r, z)
     lam = math.log(abs(zc)) / math.log(r)
@@ -125,10 +141,8 @@ def sample(r: float, z: complex, tr: Truncation = Truncation()) -> MetricSample:
             f" with r = {r!r}: lambda = log|z| / log r rounds to 1"
         )
     J = j_functions_on_A_r(r, lam, tr)
-    s_val = math.sqrt(J.j1 / J.j0)
-    kappa_s = 4.0 - 2.0 * J.j0 * J.j2 / J.j1**2
-    kappa_c = -(1.0 / math.pi**2) * J.j1 / J.j0**3
-    return MetricSample(zc, J.j0, TWO_PI * J.j0, s_val, kappa_c, kappa_s)
+    values = (metric_from_j(J, q) for q in ("c", "s", "kappa_c", "kappa_s"))
+    return MetricSample(zc, J.j0, *values)
 
 
 def szego_metric_wp(r: float, z: complex) -> float:

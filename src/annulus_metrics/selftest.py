@@ -29,6 +29,7 @@ from .hardy import j_functions_on_A_r, szego_kernel
 from .metrics import (
     boundary_asymptotics_probe,
     higher_curvature,
+    metric_from_j,
     sample,
     szego_metric_wp,
 )
@@ -111,9 +112,8 @@ def _c1():
 # 2: szego density along z = r^lambda
 
 
-def _s_at(r: float, lam: float) -> float:
-    J = j_functions_on_A_r(r, lam)
-    return math.sqrt(J.j1 / J.j0)
+def _metric_at(r: float, lam: float, quantity: str) -> float:
+    return metric_from_j(j_functions_on_A_r(r, lam), quantity)
 
 
 def _classify(lam: float, quantity: str):
@@ -127,8 +127,8 @@ def _classify(lam: float, quantity: str):
 
 def _c2():
     ck = _Checks()
-    ck.within("s(1e-6, r^0.15)", _s_at(1e-6, 0.15), 1.0, 0.05)
-    ck.within("s(1e-6, r^0.25)", _s_at(1e-6, 0.25), math.sqrt(2.0), 0.05)
+    ck.within("s(1e-6, r^0.15)", _metric_at(1e-6, 0.15, "s"), 1.0, 0.05)
+    ck.within("s(1e-6, r^0.25)", _metric_at(1e-6, 0.25, "s"), math.sqrt(2.0), 0.05)
     kind = _classify(0.5, "s").kind
     ck.expect(f"s at lambda=0.5 classified {kind}", kind == "+inf")
     return ck.result()
@@ -138,15 +138,10 @@ def _c2():
 # 3: capacity curvature limit table
 
 
-def _kappa_c_at(r: float, lam: float) -> float:
-    J = j_functions_on_A_r(r, lam)
-    return -(1.0 / math.pi**2) * J.j1 / J.j0**3
-
-
 def _c3():
     ck = _Checks()
     for lam, target in ((0.15, -4.0), (0.25, -8.0), (0.75, -8.0), (0.85, -4.0)):
-        ck.within(f"kappa_c(1e-6, r^{lam:g})", _kappa_c_at(1e-6, lam), target, 0.05)
+        ck.within(f"kappa_c(1e-6, r^{lam:g})", _metric_at(1e-6, lam, "kappa_c"), target, 0.05)
     kind = _classify(0.5, "kappa_c").kind
     ck.expect(f"kappa_c at lambda=0.5 classified {kind}", kind == "-inf")
     return ck.result()
@@ -154,11 +149,6 @@ def _c3():
 
 # ---------------------------------------------------------------------------
 # 4: szego curvature limit table
-
-
-def _kappa_s_at(r: float, lam: float) -> float:
-    J = j_functions_on_A_r(r, lam)
-    return 4.0 - 2.0 * J.j0 * J.j2 / J.j1**2
 
 
 def _c4():
@@ -173,11 +163,11 @@ def _c4():
         (0.90, -4.0),
     )
     for lam, target in finite:
-        ck.within(f"kappa_s(1e-6, r^{lam:.4g})", _kappa_s_at(1e-6, lam), target, 0.05)
+        ck.within(f"kappa_s(1e-6, r^{lam:.4g})", _metric_at(1e-6, lam, "kappa_s"), target, 0.05)
     for lam in (0.25, 0.75):
         kind = _classify(lam, "kappa_s").kind
         ck.expect(f"kappa_s at lambda={lam:g} classified {kind}", kind == "-inf")
-    near_wall = _kappa_s_at(1e-6, 4.0 / 9.0)
+    near_wall = _metric_at(1e-6, 4.0 / 9.0, "kappa_s")
     ck.expect(f"kappa_s(1e-6, r^(4/9)) = {near_wall:.4f} > 3.5", near_wall > 3.5)
     return ck.result()
 

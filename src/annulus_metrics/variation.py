@@ -22,6 +22,7 @@ from .hardy import (
     j_functions_from_sums,
     moment_sums_on_A_r,
 )
+from .metrics import metric_from_j
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,20 +129,12 @@ def asymptotic_N(r: float, lam: float, j: int) -> float:
 
 
 def _row_values(r: float, lam: float, quantities: Sequence[str], J: JOnAr):
-    c = TWO_PI * J.j0
-    s = math.sqrt(J.j1 / J.j0)
     out = []
     for q in quantities:
-        if q == "c":
-            out.append(c)
-        elif q == "s":
-            out.append(s)
-        elif q == "kappa_c":
-            out.append(-(1.0 / math.pi**2) * J.j1 / J.j0**3)
-        elif q == "kappa_s":
-            out.append(4.0 - 2.0 * J.j0 * J.j2 / J.j1**2)
+        if q in ("c", "s", "kappa_c", "kappa_s"):
+            out.append(metric_from_j(J, q))
         elif q == "ratio_s_over_c":
-            out.append(s / c)
+            out.append(metric_from_j(J, "s") / metric_from_j(J, "c"))
         else:
             out.append(asymptotic_N(r, lam, int(q[1])))
     return tuple(out)

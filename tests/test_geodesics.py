@@ -1,4 +1,4 @@
-"""Geodesic layer: field evaluator, integrator, circles, spiral shooting and quadrature."""
+"""Geodesic layer: field evaluator, integrator, circles, and spirals by Clairaut quadrature."""
 
 import cmath
 import math
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from annulus_metrics import geodesics
-from annulus_metrics.errors import ConvergenceError, DomainError
+from annulus_metrics.errors import ConvergenceError, DomainError, RangeError
 from annulus_metrics.geodesics import (
     CLOSURE_TOL,
     WAIST_GAP,
@@ -21,7 +21,7 @@ from annulus_metrics.geodesics import (
     _ClairautOrbit,
     _gap_factor,
     _integrate,
-    _waist_model,
+    _local_model,
     find_closed_geodesic,
     geodesic_rhs,
     integrate,
@@ -188,7 +188,16 @@ def test_field_at_tiny_r_stays_finite(metric):
         assert math.isfinite(m) and m > 0.0 and cmath.isfinite(g)
     # away from the hole both densities are the disc's 1/(1 - |z|^2)
     assert field.density(0.5) == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert math.isfinite(field.waist_curvature())
+    assert math.isfinite(field.curvature(math.sqrt(r)))
+
+
+@pytest.mark.parametrize("metric", ["c", "s"])
+def test_field_past_double_range_raises_range_error(metric):
+    # 5e-5 (relative) from the inner circle at r = 1e-306 the density is
+    # about 1e310
+    field = MetricField(1e-306, metric)
+    with pytest.raises(RangeError, match=r"\|z\| = 1\.00005e-306 with r = 1e-306"):
+        field.density_and_log_gradient(1.00005e-306)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +505,7 @@ def test_stable_waist_oscillates():
 
 
 # ---------------------------------------------------------------------------
-# spiral shooting
+# spirals
 
 
 def test_spiral_succeeds_in_stable_regime():
@@ -574,7 +583,7 @@ def waist_coefficients(r, metric):
     field = MetricField(r, metric)
     rs = math.sqrt(r)
     f_star = rs * field.density(rs)
-    return field, f_star, _waist_model(field, f_star, field.waist_curvature())
+    return field, f_star, _local_model(field, 0.0, f_star, field.curvature(rs))
 
 
 @pytest.mark.parametrize("metric", ["c", "s"])
@@ -585,7 +594,8 @@ def test_waist_curvature_matches_hardy_route(r, metric):
     # the sign decides the spiral route
     waist = sample(r, math.sqrt(r))
     kappa = waist.kappa_s if metric == "s" else waist.kappa_c
-    assert MetricField(r, metric).waist_curvature() == pytest.approx(kappa, rel=1e-12, abs=1e-14)
+    waist_kappa = MetricField(r, metric).curvature(math.sqrt(r))
+    assert waist_kappa == pytest.approx(kappa, rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("metric", ["c", "s"])
@@ -622,11 +632,11 @@ def test_turning_point_does_not_divide_by_the_waist_coefficient():
     # comes from the x^4 term, x_t = (gap / P_1)^(1/4)
     field, f_star, coeffs = waist_coefficients(0.1, "s")
     for a_half in (0.0, 1e-200, coeffs[0]):
-        orbit = _ClairautOrbit(field, 1.0, f_star, (a_half,) + coeffs[1:])
+        orbit = _ClairautOrbit(field, 1.0, 0.0, f_star, (a_half,) + coeffs[1:])
         yt = orbit.x_turn**2
         assert math.isfinite(orbit.x_turn) and orbit.x_turn > 0.0
         assert yt * (a_half + coeffs[1] * yt) == pytest.approx(WAIST_GAP, rel=1e-12)
-    flat = _ClairautOrbit(field, 1.0, f_star, (0.0,) + coeffs[1:])
+    flat = _ClairautOrbit(field, 1.0, 0.0, f_star, (0.0,) + coeffs[1:])
     assert flat.x_turn == pytest.approx((WAIST_GAP / coeffs[1]) ** 0.25, rel=1e-12)
     # there f - c = P_1 (x^2 - x_t^2)(x^2 + x_t^2) + ..., so at the turn
     # dt/ds = f*^2 / sqrt(2 P_1 x_t^2 * 2 f*)
@@ -753,6 +763,158 @@ def test_quadrature_spiral_beyond_the_smallest_gap():
 
 
 # ---------------------------------------------------------------------------
+# Clairaut quadrature in the W regime
+
+
+def flank_circles(r):
+    rho1 = find_closed_geodesic(r, "s").rho_star
+    return min(rho1, r / rho1), max(rho1, r / rho1)
+
+
+def test_every_spiral_is_traced_without_the_integrator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("spiral_trace called the integrator")
+
+    monkeypatch.setattr(geodesics, "_integrate", refuse)
+    # an unstable waist, a launch inside the stable well, one outside it
+    for r, z0 in ((0.1, 0.5), (0.02, 0.16), (0.02, 0.3)):
+        assert spiral_trace(r, "s", z0, 40.0).succeeded
+
+
+@pytest.mark.parametrize("t_end, windings", [(80.0, 24), (150.0, 44)])
+def test_well_spiral_matches_the_tangential_launch(t_end, windings):
+    # criterion 10's stable-regime spiral: the tangential launch at
+    # |z0| = 0.16 oscillates between 0.16 and r/0.16 = 0.125; DP45 with
+    # first-integral projection from the same launch is the reference
+    r, z0 = 0.02, 0.16
+    report = spiral_trace(r, "s", z0, t_end)
+    trace = report.trace
+    assert report.succeeded
+    assert report.launch_angle == 0.0
+    assert trace.winding_count == windings
+    assert not report.closed
+    assert trace.energy_drift <= 1e-7
+    assert trace.angular_drift <= 1e-7
+    assert report.rho_min == pytest.approx(r / z0, rel=1e-12)
+    assert report.rho_max == pytest.approx(z0, rel=1e-12)
+    v0 = 1j / MetricField(r, "s").density(z0)
+    shot = integrate(r, "s", GeodesicState(z0, v0), t_end, project=True)
+    assert abs(trace.positions[-1] - shot.positions[-1]) <= 1e-7
+
+
+@pytest.mark.parametrize("z0", [0.16, 0.1415, 0.0745, 0.07346, 0.3, 0.06])
+def test_w_regime_spiral_matches_integrator_segments(z0):
+    # from every sample, DP45 with projection reaches the next one.  In the
+    # well 0.1415 turns within the waist model, 0.0745 and 0.07346 turn
+    # 1e-3 and 1e-5 from the flank circle, where the panels must be
+    # refined; 0.3 and 0.06 lie outside the well and spiral at its flanks
+    r = 0.02
+    trace = spiral_trace(r, "s", z0, 20.0).trace
+    for i in range(1, len(trace)):
+        state = GeodesicState(trace.positions[i - 1], trace.velocities[i - 1])
+        seg = integrate(r, "s", state, trace.ts[i] - trace.ts[i - 1], step_tol=1e-12, project=True)
+        assert abs(seg.positions[-1] - trace.positions[i]) <= 1e-9, (trace.ts[i], z0)
+
+
+def test_well_spiral_inversion_symmetry():
+    r = 0.02
+    out = spiral_trace(r, "s", 0.16, 40.0)
+    inn = spiral_trace(r, "s", r / 0.16, 40.0)
+    assert inn.launch_angle == out.launch_angle == 0.0
+    assert inn.rho_min == pytest.approx(out.rho_min, rel=1e-12)
+    assert inn.rho_max == pytest.approx(out.rho_max, rel=1e-12)
+    assert len(inn.trace) == len(out.trace)
+    for i in range(len(out.trace)):
+        assert inn.trace.ts[i] == pytest.approx(out.trace.ts[i], rel=1e-10, abs=1e-12)
+        assert inn.trace.thetas[i] == pytest.approx(out.trace.thetas[i], rel=1e-10, abs=1e-12)
+        z_in, z_out = inn.trace.positions[i], out.trace.positions[i]
+        assert abs(z_in - r / z_out.conjugate()) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "z0, band, side", [(0.16, (0.13, 0.98), "inner"), (0.125, (0.04, 0.155), "outer")]
+)
+def test_well_spiral_band_short_of_the_far_turn(z0, band, side):
+    # the oscillation between 0.16 and 0.125 takes 2.3644 from one turn to
+    # the other; a band edge in between is left on the first crossing
+    report = spiral_trace(0.02, "s", z0, 40.0, band=band)
+    trace = report.trace
+    assert not report.succeeded
+    assert trace.band_exit == side
+    assert trace.ts[-1] < 2.3644
+    edge = band[0] if side == "inner" else band[1]
+    assert abs(trace.positions[-1]) == pytest.approx(edge, rel=1e-12)
+    assert trace.energy_drift <= 1e-7
+    assert trace.angular_drift <= 1e-7
+
+
+def test_w_regime_rejects_launches_on_its_circles():
+    r = 0.02
+    for rho_star in (math.sqrt(r), *flank_circles(r)):
+        for offset in (-9e-7, 9e-7):
+            with pytest.raises(DomainError, match="closed geodesic circle"):
+                spiral_trace(r, "s", rho_star + offset, 10.0)
+
+
+@pytest.mark.parametrize(
+    "r, z0, t_reach",
+    [(0.02, 0.06, 40.0), (0.02, 0.3, 40.0), (0.043, 0.5, 160.0), (0.0432, 0.5, 320.0)],
+)
+def test_flank_spiral(r, z0, t_reach):
+    # outside the well the orbit spirals in to the nearer flank circle and
+    # back out, as at an unstable waist.  Next to the U/W transition the
+    # flank's curvature is small (-1.8e-3 at r = 0.0432), so the approach
+    # takes longer than 40 time units
+    report = spiral_trace(r, "s", z0, 40.0)
+    assert report.succeeded
+    assert report.trace.winding_count >= 10
+    assert report.trace.energy_drift <= 1e-7
+    assert report.trace.angular_drift <= 1e-7
+    reached = report if t_reach == 40.0 else spiral_trace(r, "s", z0, t_reach)
+    assert reached.succeeded
+    inner, outer = flank_circles(r)
+    if z0 < inner:
+        assert abs(reached.rho_max - inner) <= 1e-6
+    else:
+        assert abs(reached.rho_min - outer) <= 1e-6
+    assert reached.trace.energy_drift <= 1e-7
+    assert reached.trace.angular_drift <= 1e-7
+
+
+@pytest.mark.parametrize("r", [0.02, 1e-3])
+def test_flank_model_matches_mpmath_derivatives(r):
+    # f(x) - f_c = xi^2 (P_1 + P_2 xi + ...) about the flank circle, with
+    # odd terms; the reference differentiates a 40-digit direct sum at the
+    # critical point it locates itself
+    field = MetricField(r, "s")
+    rs = math.sqrt(r)
+    x1 = math.log(flank_circles(r)[1] / rs)
+    rho_c = rs * math.exp(x1)
+    f_c = rho_c * field.density(rho_c)
+    coeffs = _local_model(field, x1, f_c, field.curvature(rho_c))
+    assert coeffs[0] == 0.0
+    with mpmath.workdps(40):
+        f = waist_profile_mp(r, "s")
+        x_ref = mpmath.findroot(lambda x: mpmath.diff(f, x, 1), mpmath.mpf(x1))
+        f2_ref = float(mpmath.diff(f, x_ref, 2))
+        f3_ref = float(mpmath.diff(f, x_ref, 3))
+        f_ref = float(f(x_ref))
+    assert f_c == pytest.approx(f_ref, rel=1e-14)
+    assert 2.0 * coeffs[1] == pytest.approx(f2_ref, rel=1e-12)
+    assert coeffs[2] == pytest.approx(f3_ref / 6.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("metric", ["c", "s"])
+@pytest.mark.parametrize("r", [0.3, 0.1, 0.02, 1e-3])
+def test_curvature_matches_hardy_route_off_the_waist(r, metric):
+    field = MetricField(r, metric)
+    for lam in (0.1, 0.25, 0.4, 0.6, 0.75, 0.9):
+        point = sample(r, r**lam)
+        kappa = point.kappa_s if metric == "s" else point.kappa_c
+        assert field.curvature(r**lam) == pytest.approx(kappa, rel=1e-12), lam
+
+
+# ---------------------------------------------------------------------------
 # argument validation for integrate
 
 
@@ -789,6 +951,18 @@ def test_integrator_errors_name_r():
 
     with pytest.raises(ConvergenceError, match=r"step size collapsed .*\(\|z\| = 0\.52, r = 0\.3\)"):
         _integrate(Jumpy(), generic_state(), 3.0)
+
+
+def test_integrator_rejects_steps_with_a_nan_error_norm():
+    class Steep:
+        # every stage overflows, so the error norm is NaN
+        r = 0.3
+
+        def density_and_log_gradient(self, z):
+            return 1.0, complex(1e200, 0.0)
+
+    with pytest.raises(ConvergenceError, match=r"step size collapsed .*, r = 0\.3\)"):
+        _integrate(Steep(), generic_state(), 3.0)
 
 
 def test_trace_container_basics():

@@ -15,12 +15,14 @@ from annulus_metrics.errors import (
     PoleError,
     ShapeError,
 )
+from annulus_metrics.hardy import JOnAr
 from annulus_metrics.metrics import (
     MetricSample,
     boundary_asymptotics_probe,
     capacity_log_laplacian,
     capacity_metric,
     higher_curvature,
+    metric_from_j,
     sample,
     szego_log_density_laplacian_wp,
     szego_metric_wp,
@@ -52,6 +54,15 @@ def test_sample_basic_fields():
     assert ms.s >= ms.c
     assert ms.kappa_s <= 4
     assert ms.kappa_c <= -4
+
+
+def test_metric_from_j_names_its_quantities():
+    J = JOnAr(1.0, 2.0, 3.0)
+    assert metric_from_j(J, "c") == 2.0 * math.pi
+    assert metric_from_j(J, "s") == math.sqrt(2.0)
+    assert metric_from_j(J, "kappa_s") == 4.0 - 2.0 * 3.0 / 4.0
+    with pytest.raises(DomainError, match="kappa_c or kappa_s, got 'N1'"):
+        metric_from_j(J, "N1")
 
 
 def test_sample_domain_errors():
