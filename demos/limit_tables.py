@@ -24,7 +24,7 @@ def describe(rows, lam, quantity):
 
 def main():
     spec = SweepSpec(r_values=R_GRID, lambda_values=LAMBDAS, quantities=QUANTITIES)
-    rows = run_sweep(spec, Truncation(), parallelism=0)
+    rows = run_sweep(spec, Truncation())
 
     print("trend of each quantity as r -> 0 with z pinned at r^lambda")
     print(f"(classified over r = {R_GRID[0]:g} .. {R_GRID[-1]:g}; 'undetermined'")

@@ -39,7 +39,7 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .geodesics import GeodesicState, find_closed_geodesic, integrate
+from .geodesics import GeodesicState, MetricField, find_closed_geodesic, integrate
 from .hardy import Truncation, szego_kernel
 from .metrics import sample
 from .selftest import FULL_BUDGET, QUICK_BUDGET, run_all
@@ -218,7 +218,7 @@ def cmd_sweep(args) -> int:
         quantities = QUANTITIES
     tr = _truncation(args)
     spec = SweepSpec(r_values=tuple(r_values), lambda_values=tuple(lambdas), quantities=quantities)
-    rows = run_sweep(spec, tr, parallelism=args.parallelism)
+    rows = run_sweep(spec, tr)
 
     meta = [
         f"command=sweep quantities={','.join(quantities)}",
@@ -259,7 +259,6 @@ def _winding_column(thetas) -> list:
 
 def cmd_geodesic(args) -> int:
     r = _check_r(args.r)
-    tr = _truncation(args)
     if args.closed and args.z0 is not None:
         raise DomainError("choose either --closed or a trace launch with --z0, not both")
     if args.closed:
@@ -285,10 +284,8 @@ def cmd_geodesic(args) -> int:
         if v0 == 0:
             raise DomainError("launch velocity v0 must be nonzero")
     else:
-        # counterclockwise tangent at unit metric speed
-        m = sample(r, z0, tr)
-        density = m.c if args.metric == "c" else m.s
-        v0 = 1j * (z0 / abs(z0)) / density
+        # counterclockwise tangent at unit speed in the field the trace runs on
+        v0 = 1j * (z0 / abs(z0)) / MetricField(r, args.metric).density(z0)
     trace = integrate(
         r,
         args.metric,
@@ -451,12 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"comma separated subset of {','.join(QUANTITIES)}; default all",
     )
-    p_sweep.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        help="accepted (>= 0) but no longer changes anything; rows always run serially",
-    )
     _add_truncation_flags(p_sweep)
     _add_output_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
@@ -482,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-project each step onto the speed and angular momentum level set",
     )
-    _add_truncation_flags(p_geo)
     _add_output_flags(p_geo)
     p_geo.set_defaults(func=cmd_geodesic)
 

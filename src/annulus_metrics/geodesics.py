@@ -22,12 +22,16 @@ Radial structure: both densities blow up like 1/dist at the boundary,
 so f(rho) = rho * m(rho) tends to +inf at both ends and circle
 geodesics sit at its interior critical points.  By the Clairaut
 relation cos(psi) = L / (E f(rho)) an orbit can only visit radii where
-f >= |L|/E, so the shape of f decides everything.  Two regimes occur:
+f >= |L|/E, so the shape of f decides everything.  The inversion
+z -> r/conj(z) makes the waist sqrt(r) a critical circle at every r.
+Its curvature is at most -4 for c, and 12 e2 / (e1 - e3) for s in the
+lattice roots of elliptic, which changes sign where e2 = 0: on the
+square lattice r = SQUARE_R = e^-pi, about 0.0432.  Two regimes occur:
 
-  * waist curvature negative (e.g. s at r = 0.1): f is U-shaped, the
-    single circle at the minimum is unstable, and every other geodesic
-    eventually slides into a boundary funnel.  Orbits can hug the
-    circle only as long as their gap c - f(rho*) to the separatrix
+  * U regime (c at every r, s for r >= SQUARE_R): f is U-shaped, the
+    single circle at the minimum sqrt(r) is unstable, and every other
+    geodesic eventually slides into a boundary funnel.  Orbits can hug
+    the circle only as long as their gap c - f(rho*) to the separatrix
     level stays small, where c = L/E is the Clairaut constant; the
     radial offset from the circle grows by exp(sqrt(-K) * L_circle)
     per winding.  A launch state (position and velocity) carries c only
@@ -36,9 +40,9 @@ f >= |L|/E, so the shape of f decides everything.  Two regimes occur:
     scalar, down to the smallest positive double; for s at r = 0.1 that
     orbit spends about fifty windings on each side of its turn.
 
-  * waist curvature positive (s for r below e^-pi, about 0.0432): f is
-    W-shaped, the symmetric circle at sqrt(r) is a stable local
-    maximum of f flanked by two length-minimizing circles, tangential
+  * W regime (s for r < SQUARE_R): f is W-shaped, the symmetric circle
+    at sqrt(r) is a stable local maximum of f flanked by two
+    length-minimizing circles rho1 < sqrt(r) < r/rho1, tangential
     launches between those oscillate radially forever, and orbits
     outside them spiral at the nearer one as at an unstable waist.
 """
@@ -68,6 +72,11 @@ ESCAPE_COLLAR = 1e-9
 #: momentum only to a few 1e-7, and a per-step guard on it collapses the
 #: steps, since the position resolves the density there to eps/distance.
 Q_HORIZON = 0.999910148850554
+
+#: e^-pi, the square lattice omega1 = pi, below which the waist of s is stable
+#: (W regime); correctly rounded, so r < SQUARE_R is r < e^-pi for every double r,
+#: where math.exp(-math.pi) comes out 1.2 ulp high
+SQUARE_R = 0.04321391826377225
 
 #: closure distances below this mean the trace returned to its start.
 CLOSURE_TOL = 1e-6
@@ -452,73 +461,63 @@ def integrate(
     return _integrate(field, initial, t_end, step_tol, project=project)
 
 
-def _bracketed_root(f, a: float, b: float, xtol: float) -> float:
-    """Zero of f between a and b, where f changes sign (Illinois method).
+def _bracketed_root(f, a: float, b: float, xtol: float) -> float | None:
+    """Zero of f between a and b by bisection, or None unless f changes sign.
 
-    Each step takes the secant through the bracket ends, or the midpoint
-    should it leave the bracket; an end kept twice in a row has its value
-    halved, so both ends close in.  Once the bracket is no wider than
-    xtol, returns the point with the smallest |f| seen.
+    Bisection reads only the signs of f.  A secant step through a steep
+    end and a small one lands next to the small end, where the rounding
+    of f can outweigh its value.  Returns the midpoint of the last
+    bracket, which is no wider than xtol or than two adjacent doubles.
     """
     fa, fb = f(a), f(b)
-    best, side = min((abs(fa), a), (abs(fb), b)), 0
-    for _ in range(200):
-        if abs(b - a) <= xtol or best[0] == 0.0:
-            break
-        c = b - fb * (b - a) / (fb - fa)
-        c = c if min(a, b) < c < max(a, b) else 0.5 * (a + b)
-        fc = f(c)
-        best = min(best, (abs(fc), c))
-        if (fc < 0.0) == (fb < 0.0):
-            b, fb, fa, side = c, fc, fa * (0.5 if side == -1 else 1.0), -1
+    if not fa * fb <= 0.0:
+        return None
+    c = 0.5 * (a + b)
+    while abs(b - a) > xtol and a != c != b:
+        if (f(c) > 0.0) == (fb > 0.0):
+            b = c
         else:
-            a, fa, fb, side = c, fc, fb * (0.5 if side == 1 else 1.0), 1
-    return best[1]
+            a = c
+        c = 0.5 * (a + b)
+    return c
+
+
+def _closed_circle(field: MetricField) -> ClosedGeodesic:
+    """find_closed_geodesic on the given field."""
+    rs = math.sqrt(field.r)
+    rho_star = rs
+    if field.metric == "s" and field.r < SQUARE_R:
+
+        def rate(x: float) -> float:
+            # R(x) / x, whose value at x = 0 is (log f)''(0) < 0; next to
+            # SQUARE_R the computed curvature can round to the wrong sign
+            if x == 0.0:
+                return min(-field.curvature(rs) * (rs * field.density(rs)) ** 2, 0.0)
+            rho = rs * math.exp(x)
+            _, g = field.density_and_log_gradient(complex(rho, 0.0))
+            return (1.0 + rho * g.real) / x
+
+        x1 = _bracketed_root(rate, math.log(field.r * (1.0 + 1e-3) / rs), 0.0, 1e-14)
+        if x1 is None:
+            raise InternalConsistencyError(f"no flank circle between r and sqrt(r) at r = {field.r!r}")
+        rho_star = rs * math.exp(x1)
+    m, g = field.density_and_log_gradient(complex(rho_star, 0.0))
+    return ClosedGeodesic(rho_star, TWO_PI * rho_star * m, abs(1.0 + rho_star * g.real))
 
 
 def find_closed_geodesic(r: float, metric: str) -> ClosedGeodesic:
     """Radius and length of the length-minimizing closed geodesic circle.
 
-    A circle |z| = rho is a geodesic exactly when rho * m(rho) is
-    critical, i.e. when R(rho) = 1 + rho * Re(d/dz log m^2)(rho)
-    vanishes.  Local minima of rho * m(rho) are located on a grid,
-    verified to be interior, and the smallest is polished by root
-    bracketing.  In the U-shaped regime there is exactly one circle; in
-    the W-shaped regime (positive waist curvature at small r) the two
-    flanking minima tie by the inversion symmetry and one of them is
-    returned, while the symmetric circle at sqrt(r) survives as a
-    saddle, not reported here.
+    A circle |z| = rho is a geodesic exactly when R(rho) = 1 + rho *
+    Re(d/dz log m^2)(rho) = d log f / dx vanishes, x = log(rho / sqrt r);
+    residual is |R(rho_star)|.  In the U regime (module docstring) that
+    circle is the waist, rho_star = sqrt(r) exactly.  In the W regime the
+    flank circles tie by the inversion symmetry and the inner one, rho1 <
+    sqrt(r), is returned.  R is odd in x, so R(x) / x changes sign once
+    between the inner circle and the waist, where it is (log f)''(0) =
+    -kappa f^2, and one bracketed solve finds it.
     """
-    field = MetricField(r, metric)
-
-    def radial_condition(rho: float) -> float:
-        _, g = field.density_and_log_gradient(complex(rho, 0.0))
-        return 1.0 + rho * g.real
-
-    w = 1e-3 * (1.0 - field.r)
-    lo, hi = field.r + w, 1.0 - w
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), 121))
-    fields = [field.density_and_log_gradient(complex(rho, 0.0)) for rho in grid]
-    fvals = np.array([rho * m for rho, (m, _) in zip(grid, fields)])
-    jmin = int(np.argmin(fvals))
-    if jmin == 0 or jmin == len(grid) - 1:
-        raise InternalConsistencyError(
-            "minimum of rho * m(rho) sits at the search boundary; the density"
-            " is not behaving like a complete metric"
-        )
-    rvals = [1.0 + rho * g.real for rho, (_, g) in zip(grid, fields)]
-    ups = [i for i in range(len(grid) - 1) if rvals[i] < 0.0 <= rvals[i + 1]]
-    downs = [i for i in range(len(grid) - 1) if rvals[i] >= 0.0 > rvals[i + 1]]
-    if len(ups) not in (1, 2) or len(downs) != len(ups) - 1:
-        raise InternalConsistencyError(
-            f"unexpected sign pattern of the circle condition:"
-            f" {len(ups)} minima and {len(downs)} interior maxima on the grid"
-        )
-    i = min(ups, key=lambda i: min(fvals[i], fvals[i + 1]))
-    rho_star = _bracketed_root(radial_condition, float(grid[i]), float(grid[i + 1]), 1e-14)
-    residual = abs(radial_condition(rho_star))
-    length = TWO_PI * rho_star * field.density(rho_star)
-    return ClosedGeodesic(rho_star=float(rho_star), length=float(length), residual=residual)
+    return _closed_circle(MetricField(r, metric))
 
 
 # 8-point Gauss-Legendre rule for the panels of the Clairaut quadrature
@@ -783,19 +782,20 @@ def spiral_trace(
 
     Every spiral is an orbit chosen by its Clairaut constant and traced
     by quadrature (see _ClairautOrbit).  Which orbit depends on the
-    Gaussian curvature at the waist sqrt(r):
+    regime of the module docstring, that is on metric and SQUARE_R:
 
-    Negative (U-shaped f, unstable waist): c = f* + WAIST_GAP, just above
+    U regime (unstable waist sqrt(r)): c = f* + WAIST_GAP, just above
     the waist level f* = f(sqrt r).  The orbit spirals from z0 towards
     the waist, turns just short of it and spirals back out; for the
     Szego metric at r = 0.1 the two legs take about 230 time units each.
     launch_angle is the tilt of c, rounded to double precision, so a
     step-by-step integration from it soon leaves the waist.
 
-    Positive (W-shaped f, stable waist between unstable flank circles
-    rho1 and r/rho1): from z0 between them the orbit is the tangential
-    launch, launch_angle 0, oscillating between |z0| and r/|z0|; from z0
-    outside them it is the construction above at the nearer flank circle.
+    W regime (stable waist between the unstable flank circles rho1 of
+    find_closed_geodesic and r/rho1): from z0 between them the orbit is
+    the tangential launch, launch_angle 0, oscillating between |z0| and
+    r/|z0|; from z0 outside them it is the construction above at the
+    nearer flank circle.
 
     A band that stops short of the turn is left on the way in.  succeeded
     is True exactly when the trace is still inside the band at t_end.
@@ -811,10 +811,8 @@ def spiral_trace(
     if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0):
         raise DomainError(f"t_end must be a positive finite number, got {t_end!r}")
     rs = math.sqrt(field.r)
-    circles = [rs]
-    if field.curvature(rs) > 0.0:
-        rho1 = find_closed_geodesic(r, metric).rho_star
-        circles += [rho1, field.r / rho1]
+    rho1 = _closed_circle(field).rho_star  # sqrt(r) exactly in the U regime
+    circles = [rs] if rho1 == rs else [rs, rho1, field.r / rho1]
     rho_star = min(circles, key=lambda rho: abs(rho0 - rho))
     if abs(rho0 - rho_star) < 1e-6:
         raise DomainError(

@@ -164,14 +164,6 @@ def test_sweep_byte_deterministic(capsys):
     assert out1 == out2
 
 
-def test_sweep_parallelism_does_not_change_bytes(capsys):
-    base = ("sweep", "--lambda", "0.25,0.5", "--quantities", "c,s")
-    _, serial, _ = run_cli(capsys, *base, "--parallelism", "1")
-    _, auto, _ = run_cli(capsys, *base, "--parallelism", "0")
-    _, four, _ = run_cli(capsys, *base, "--parallelism", "4")
-    assert serial == auto == four
-
-
 def test_sweep_ratio_grows_at_midpoint(capsys):
     _, out, _ = run_cli(
         capsys, "sweep", "--lambda", "0.5", "--quantities", "ratio_s_over_c"

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from annulus_metrics import geodesics
+from annulus_metrics.elliptic import make_elliptic_context
 from annulus_metrics.errors import ConvergenceError, DomainError, RangeError
 from annulus_metrics.geodesics import (
     CLOSURE_TOL,
+    SQUARE_R,
     WAIST_GAP,
     GeodesicState,
     MetricField,
@@ -277,8 +279,9 @@ def test_bracketed_root_matches_brentq(monkeypatch):
         return x
 
     monkeypatch.setattr(geodesics, "_bracketed_root", recorded)
-    for r, metric in ((0.02, "s"), (0.1, "s"), (0.1, "c"), (0.5, "s"), (0.9, "c")):
-        find_closed_geodesic(r, metric)
+    # only the W regime reaches the solver
+    for r in (1e-3, 0.01, 0.02, 0.03, 0.04):
+        find_closed_geodesic(r, "s")
     assert len(brackets) == 5
     for f, a, b, x in brackets:
         ref = brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
@@ -287,7 +290,7 @@ def test_bracketed_root_matches_brentq(monkeypatch):
 
 
 @pytest.mark.parametrize("r, metric", [(0.1, "s"), (0.02, "s"), (0.3, "c")])
-def test_closed_circle_grid_evaluates_the_field_once_per_point(monkeypatch, r, metric):
+def test_closed_circle_evaluates_the_field_once_per_point(monkeypatch, r, metric):
     calls, root_calls = [], []
     evaluate = MetricField.density_and_log_gradient
     solve = geodesics._bracketed_root
@@ -302,9 +305,15 @@ def test_closed_circle_grid_evaluates_the_field_once_per_point(monkeypatch, r, m
     monkeypatch.setattr(MetricField, "density_and_log_gradient", counted)
     monkeypatch.setattr(geodesics, "_bracketed_root", counted_root)
     circle = find_closed_geodesic(r, metric)
-    # 121 grid points, the root search, then the residual and the length
-    assert len(calls) == 121 + len(root_calls) + 2
-    assert calls[-2] == calls[-1] == complex(circle.rho_star, 0.0)
+    if metric == "c" or r >= SQUARE_R:
+        # U regime: the residual and the length at sqrt(r), from one call
+        assert root_calls == []
+        assert calls == [complex(math.sqrt(r), 0.0)]
+    else:
+        # one call per solver point (the waist end takes f(sqrt r) for
+        # (log f)''), then the residual and the length
+        assert len(calls) == len(root_calls) + 1
+    assert calls[-1] == complex(circle.rho_star, 0.0)
 
 
 def test_symmetric_circle_is_critical_in_both_regimes():
@@ -334,6 +343,88 @@ def test_stable_regime_returns_flank_minimum():
     closure = abs(trace.positions[-1] - z0) + abs(trace.velocities[-1] - v0)
     assert closure <= 1e-6
     assert trace.winding_count == 1
+
+
+# inner flank circles that the former 121-point grid search returned; it
+# found either flank, and the outer ones are mapped to r / rho here
+GRID_FLANKS = {
+    1e-3: 0.0059926014058859335,
+    0.01: 0.03909430560739885,
+    0.015: 0.05608405234192403,
+    0.02: 0.07345177717954601,
+    0.025: 0.0917451809332234,
+    0.04: 0.16411162207200927,
+    0.043: 0.19728430171557376,
+}
+
+
+def test_w_regime_returns_the_inner_flank_circle():
+    for r, rho_grid in GRID_FLANKS.items():
+        circle = find_closed_geodesic(r, "s")
+        assert circle.rho_star < math.sqrt(r)
+        assert circle.residual <= 1e-12
+        assert circle.rho_star == pytest.approx(rho_grid, rel=1e-12, abs=0.0), r
+
+
+@pytest.mark.parametrize("metric", ["c", "s"])
+def test_closed_circle_over_the_whole_domain(metric):
+    # the grid search raised InternalConsistencyError for s at r = 1e-4,
+    # 1e-5 and 1e-12, and for c at every r <= 1e-6
+    for r in [10.0**-k for k in (*range(1, 13), 20, 50, 100, 300)] + [SQUARE_R, 0.5, 0.9]:
+        circle = find_closed_geodesic(r, metric)
+        assert circle.residual <= 1e-12, r
+        if metric == "c" or r >= SQUARE_R:
+            assert circle.rho_star == math.sqrt(r), r
+        else:
+            assert circle.rho_star < math.sqrt(r), r
+
+
+def test_w_regime_circle_next_to_the_square_lattice():
+    # the flank circles close in on the waist like sqrt(1 - r / SQUARE_R),
+    # and R(x) / x shrinks with them; the returned circle is still a sign
+    # change of R = d log f / dx from falling to rising f
+    for rel in (1e-4, 1e-6, 1e-8):
+        r = SQUARE_R * (1.0 - rel)
+        field = MetricField(r, "s")
+        circle = find_closed_geodesic(r, "s")
+        assert circle.residual <= 1e-12
+        x1 = math.log(circle.rho_star / math.sqrt(r))
+        for x, sign in ((1.1 * x1, -1.0), (0.9 * x1, 1.0)):
+            rho = math.sqrt(r) * math.exp(x)
+            _, g = field.density_and_log_gradient(rho)
+            assert sign * (1.0 + rho * g.real) > 0.0, (rel, x)
+    # one ulp below SQUARE_R the waist curvature is below its own rounding
+    r = math.nextafter(SQUARE_R, 0.0)
+    circle = find_closed_geodesic(r, "s")
+    assert circle.rho_star <= math.sqrt(r)
+    assert circle.residual <= 1e-12
+
+
+def test_square_lattice_is_where_e2_changes_sign():
+    # e2 = (pi / (2 omega1))^2 (theta2^4 - theta4^4) / 3 on the lattice with
+    # half-periods omega1 = -log r and i pi, nome exp(-pi^2 / omega1)
+    with mpmath.workdps(40):
+        square = mpmath.exp(-mpmath.pi)
+        # no double lies between e^-pi and SQUARE_R, so r < SQUARE_R is r < e^-pi
+        assert math.nextafter(SQUARE_R, 0.0) < square < SQUARE_R
+        below = [mpmath.mpf(x) for x in ("1e-3", "0.02", "0.043")] + [square * (1 - mpmath.mpf("1e-6"))]
+        above = [square * (1 + mpmath.mpf("1e-6"))] + [mpmath.mpf(x) for x in ("0.0433", "0.1", "0.9")]
+        for r, sign in [(r, 1) for r in below] + [(r, -1) for r in above]:
+            omega1 = -mpmath.log(r)
+            q = mpmath.exp(-mpmath.pi**2 / omega1)
+            theta2, theta4 = mpmath.jtheta(2, 0, q), mpmath.jtheta(4, 0, q)
+            e2 = (mpmath.pi / (2 * omega1)) ** 2 * (theta2**4 - theta4**4) / 3
+            assert sign * e2 > mpmath.mpf("1e-30"), r
+
+
+@pytest.mark.parametrize("r", [0.01, 0.02, 0.04, 0.0432, 0.0433, 0.1, 0.3, 0.9])
+def test_waist_curvature_of_s_is_the_elliptic_closed_form(r):
+    # kappa_s(sqrt r) = 12 e2 / (e1 - e3), the sign of e2 by the lattice roots
+    ctx = make_elliptic_context(r)
+    kappa = 12.0 * ctx.e2 / (ctx.e1 - ctx.e3)
+    waist = MetricField(r, "s").curvature(math.sqrt(r))
+    assert abs(waist - kappa) <= 1e-12 * max(1.0, abs(kappa))
+    assert (kappa > 0.0) == (r < SQUARE_R)
 
 
 # ---------------------------------------------------------------------------
@@ -879,6 +970,16 @@ def test_flank_spiral(r, z0, t_reach):
         assert abs(reached.rho_min - outer) <= 1e-6
     assert reached.trace.energy_drift <= 1e-7
     assert reached.trace.angular_drift <= 1e-7
+
+
+@pytest.mark.parametrize("r", [1e-4, 1e-5])
+def test_flank_spiral_at_small_r(r):
+    # find_closed_geodesic's grid search raised InternalConsistencyError here
+    report = spiral_trace(r, "s", 0.5, 40.0)
+    assert report.succeeded
+    assert report.trace.winding_count >= 10
+    assert report.trace.energy_drift <= 1e-7
+    assert report.trace.angular_drift <= 1e-7
 
 
 @pytest.mark.parametrize("r", [0.02, 1e-3])
