@@ -9,12 +9,16 @@ Subcommands
 
 Exit codes: 0 success, 2 domain error (the message names the violated
 precondition), 3 convergence failure, 4 sweep with every row failed,
-5 selftest with a failing criterion.
+5 selftest with a failing criterion.  Arguments go to the library
+unchecked: its DomainError, raised by the checks in errors, gives exit
+2, and every default (tail tolerance, step tolerance, sweep grid) is the
+library's own.
 
 Output is byte-deterministic: floats are printed with 17 significant
 digits, row order is fixed by the input, and no timestamps or machine
 identifiers appear.  CSV starts with a `# annulus-metrics v... schema=1`
-line, further `#` metadata lines, then the header row.  JSON output is
+line, further `#` metadata lines (`n_max=` is FIRST_PAIRS, the first
+pass of every series), then the header row.  JSON output is
 an array of row objects.  Complex arguments use the a+bi form with no
 spaces, e.g. 0.3+0.2i.
 """
@@ -26,7 +30,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -38,33 +41,24 @@ from .errors import (
     PoleError,
     RangeError,
     ShapeError,
+    check_point,
 )
-from .geodesics import GeodesicState, MetricField, find_closed_geodesic, integrate
-from .hardy import Truncation, szego_kernel
+from .geodesics import STEP_TOL, GeodesicState, MetricField, find_closed_geodesic, integrate
+from .hardy import FIRST_PAIRS, Truncation, szego_kernel
 from .metrics import sample
 from .selftest import FULL_BUDGET, QUICK_BUDGET, run_all
-from .variation import QUANTITIES, SweepSpec, limit_classifier, run_sweep
+from .variation import (
+    DEFAULT_SWEEP_LAMBDAS,
+    DEFAULT_SWEEP_R,
+    QUANTITIES,
+    SweepSpec,
+    limit_classifier,
+    run_sweep,
+)
 
 TWO_PI = 2.0 * math.pi
 
 SCHEMA_LINE = f"# annulus-metrics v{__version__} schema=1"
-
-ENV_TAIL_TOL = "ANNULUS_METRICS_TAIL_TOL"
-
-# down to 1e-8 so divergent columns clear the classifier's magnitude gate
-DEFAULT_SWEEP_R = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
-
-DEFAULT_SWEEP_LAMBDAS = (
-    0.10,
-    1.0 / 6.0,
-    0.25,
-    1.0 / 3.0,
-    0.5,
-    2.0 / 3.0,
-    0.75,
-    5.0 / 6.0,
-    0.90,
-)
 
 
 def _fmt(x) -> str:
@@ -97,20 +91,6 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def _positive(name: str, value: float, *, upper: float | None = None) -> float:
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be a finite positive number, got {value!r}")
-    if upper is not None and value > upper:
-        raise DomainError(f"{name} must be at most {upper:g}, got {value!r}")
-    return float(value)
-
-
-def _check_r(r: float) -> float:
-    if not (math.isfinite(r) and 0.0 < r < 1.0):
-        raise DomainError(f"inner radius r must lie strictly between 0 and 1, got {r!r}")
-    return float(r)
-
-
 def _float_list(text: str, name: str) -> tuple:
     out = []
     for piece in text.split(","):
@@ -124,27 +104,6 @@ def _float_list(text: str, name: str) -> tuple:
     if not out:
         raise DomainError(f"{name} must contain at least one value")
     return tuple(out)
-
-
-def _truncation(args) -> Truncation:
-    """Flag > environment variable > library default, validated here."""
-    tail = getattr(args, "tail_tol", None)
-    if tail is None:
-        raw = os.environ.get(ENV_TAIL_TOL)
-        if raw is not None:
-            try:
-                tail = float(raw)
-            except ValueError:
-                raise DomainError(
-                    f"{ENV_TAIL_TOL} must be a floating point number, got {raw!r}"
-                ) from None
-    kwargs = {}
-    if tail is not None:
-        kwargs["tail_tol"] = _positive("tail_tol", tail, upper=1e-2)
-    n_max = getattr(args, "n_max", None)
-    if n_max is not None:
-        kwargs["n_max"] = n_max  # Truncation rejects n_max < 1
-    return Truncation(**kwargs)
 
 
 def _emit(args, header: tuple, rows: list, meta: list) -> None:
@@ -174,13 +133,9 @@ def _emit(args, header: tuple, rows: list, meta: list) -> None:
 
 
 def cmd_eval(args) -> int:
-    r = _check_r(args.r)
+    r = args.r
     z = parse_complex(args.z)
-    tr = _truncation(args)
-    if not (r < abs(z) < 1.0):
-        raise DomainError(
-            f"evaluation point must satisfy r < |z| < 1, got |z| = {abs(z):.6g} with r = {r:g}"
-        )
+    tr = Truncation(args.tail_tol)
     m = sample(r, z, tr)
     kernel = szego_kernel(r, z, z, tr).real
     header = (
@@ -197,7 +152,7 @@ def cmd_eval(args) -> int:
     row = (r, z.real, z.imag, kernel, TWO_PI * kernel, m.c, m.s, m.kappa_c, m.kappa_s)
     meta = [
         f"command=eval r={_fmt(r)} z={args.z}",
-        f"tail_tol={_fmt(tr.tail_tol)} n_max={tr.n_max}",
+        f"tail_tol={_fmt(tr.tail_tol)} n_max={FIRST_PAIRS}",
         "identity: c equals two_pi_S",
     ]
     _emit(args, header, [row], meta)
@@ -209,14 +164,9 @@ def cmd_sweep(args) -> int:
     lambdas = _float_list(args.lam, "--lambda") if args.lam else DEFAULT_SWEEP_LAMBDAS
     if args.quantities:
         quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
-        for q in quantities:
-            if q not in QUANTITIES:
-                raise DomainError(
-                    f"unknown quantity {q!r}; choose from {', '.join(QUANTITIES)}"
-                )
     else:
         quantities = QUANTITIES
-    tr = _truncation(args)
+    tr = Truncation(args.tail_tol)
     spec = SweepSpec(r_values=tuple(r_values), lambda_values=tuple(lambdas), quantities=quantities)
     rows = run_sweep(spec, tr)
 
@@ -224,7 +174,7 @@ def cmd_sweep(args) -> int:
         f"command=sweep quantities={','.join(quantities)}",
         f"r={','.join(_fmt(v) for v in spec.r_values)}",
         f"lambda={','.join(_fmt(v) for v in sorted(spec.lambda_values))}",
-        f"tail_tol={_fmt(tr.tail_tol)} n_max={tr.n_max}",
+        f"tail_tol={_fmt(tr.tail_tol)} n_max={FIRST_PAIRS}",
     ]
     for lam in sorted(spec.lambda_values):
         lam_rows = [row for row in rows if row.lam == lam]
@@ -258,7 +208,7 @@ def _winding_column(thetas) -> list:
 
 
 def cmd_geodesic(args) -> int:
-    r = _check_r(args.r)
+    r = args.r
     if args.closed and args.z0 is not None:
         raise DomainError("choose either --closed or a trace launch with --z0, not both")
     if args.closed:
@@ -271,27 +221,21 @@ def cmd_geodesic(args) -> int:
     if args.z0 is None:
         raise DomainError("geodesic needs either --closed or --z0 to launch a trace")
     z0 = parse_complex(args.z0)
-    if not (r < abs(z0) < 1.0):
-        raise DomainError(
-            f"launch point must satisfy r < |z0| < 1, got |z0| = {abs(z0):.6g} with r = {r:g}"
-        )
     if args.t_end is None:
         raise DomainError("a trace needs --t-end, the parameter length to integrate")
-    t_end = _positive("t_end", args.t_end)
-    step_tol = _positive("step_tol", args.step_tol, upper=1e-2)
     if args.v0 is not None:
         v0 = parse_complex(args.v0)
-        if v0 == 0:
-            raise DomainError("launch velocity v0 must be nonzero")
     else:
         # counterclockwise tangent at unit speed in the field the trace runs on
-        v0 = 1j * (z0 / abs(z0)) / MetricField(r, args.metric).density(z0)
+        field = MetricField(r, args.metric)
+        check_point(field.r, z0, "z0")
+        v0 = 1j * (z0 / abs(z0)) / field.density(z0)
     trace = integrate(
         r,
         args.metric,
         GeodesicState(z0, v0),
-        t_end,
-        step_tol=step_tol,
+        args.t_end,
+        step_tol=args.step_tol,
         project=args.project,
     )
     header = ("t", "re_z", "im_z", "abs_z", "speed", "winding")
@@ -304,7 +248,7 @@ def cmd_geodesic(args) -> int:
     meta = [
         f"command=geodesic trace r={_fmt(r)} metric={args.metric} z0={args.z0}"
         f" v0={args.v0 if args.v0 is not None else 'auto'}",
-        f"t_end={_fmt(t_end)} step_tol={_fmt(step_tol)} project={_fmt(args.project)}",
+        f"t_end={_fmt(args.t_end)} step_tol={_fmt(args.step_tol)} project={_fmt(args.project)}",
         f"samples={len(trace)} winding_count={trace.winding_count}"
         f" length={_fmt(trace.length)} escaped={_fmt(trace.escaped)}",
         f"energy_drift={_fmt(trace.energy_drift)} angular_drift={_fmt(trace.angular_drift)}",
@@ -314,7 +258,7 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_elliptic(args) -> int:
-    r = _check_r(args.r)
+    r = args.r
     z = parse_complex(args.z)
     ctx = make_elliptic_context(r)
     P = wp(ctx, z)
@@ -405,14 +349,13 @@ def _add_output_flags(sub) -> None:
     )
 
 
-def _add_truncation_flags(sub) -> None:
+def _add_tail_tol_flag(sub) -> None:
     sub.add_argument(
         "--tail-tol",
         type=float,
-        default=None,
-        help=f"series tail tolerance; default 1e-12, or the {ENV_TAIL_TOL} environment variable",
+        default=Truncation.tail_tol,
+        help=f"series tail tolerance in (0, 1e-2]; default {Truncation.tail_tol:g}",
     )
-    sub.add_argument("--n-max", type=int, default=None, help="initial number of series terms")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = commands.add_parser("eval", help="kernel and metric quantities at one point")
     p_eval.add_argument("--r", type=float, required=True, help="inner radius, 0 < r < 1")
     p_eval.add_argument("--z", required=True, help="evaluation point a+bi with r < |z| < 1")
-    _add_truncation_flags(p_eval)
+    _add_tail_tol_flag(p_eval)
     _add_output_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -435,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--r",
         default=None,
-        help="comma separated decreasing inner radii; default 1e-2..1e-6 by decades",
+        help="comma separated decreasing inner radii; default"
+        f" {','.join('%g' % r for r in DEFAULT_SWEEP_R)}",
     )
     p_sweep.add_argument(
         "--lambda",
@@ -448,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"comma separated subset of {','.join(QUANTITIES)}; default all",
     )
-    _add_truncation_flags(p_sweep)
+    _add_tail_tol_flag(p_sweep)
     _add_output_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -467,7 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="launch velocity a+bi; default is the counterclockwise tangent at unit speed",
     )
     p_geo.add_argument("--t-end", type=float, default=None, help="parameter length to integrate")
-    p_geo.add_argument("--step-tol", type=float, default=1e-9, help="step error tolerance")
+    p_geo.add_argument(
+        "--step-tol",
+        type=float,
+        default=STEP_TOL,
+        help=f"step error tolerance in (0, 1e-3]; default {STEP_TOL:g}",
+    )
     p_geo.add_argument(
         "--project",
         action="store_true",

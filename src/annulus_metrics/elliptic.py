@@ -20,6 +20,7 @@ from .errors import (
     InternalConsistencyError,
     PoleError,
     RangeError,
+    check_r,
 )
 
 _PI = math.pi
@@ -33,6 +34,10 @@ _N_THETA = 8
 _LNQ_CAP = 740.0
 
 POLE_RADIUS_FACTOR = 1e-6
+
+#: residual of e1 + e2 + e3 = 0 and of the cubic at each root, relative to
+#: 1 + |g2| + |g3|, that make_elliptic_context requires of its constants
+ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,6 @@ class EllipticContext:
     eta3_im: float
     c: float
     q: float
-    tol: float
     _frame: _Frame = field(repr=False, compare=False)
 
 
@@ -179,18 +183,14 @@ def _zeta_raw(fr: _Frame, z0: complex) -> complex:
     return (fr.etaW1 / fr.W1) * z0 + (_PI / (2.0 * fr.W1)) * (t1p / t1)
 
 
-def make_elliptic_context(r: float, tol: float = 1e-12) -> EllipticContext:
+def make_elliptic_context(r: float) -> EllipticContext:
     """Build the lattice constants for the annulus with radii (r, 1).
 
-    Raises DomainError unless 0 < r < 1 and tol > 0, RangeError when r
-    is so extreme that the nome leaves the representable range, and
-    ConvergenceError when the computed constants cannot meet tol.
+    Raises DomainError unless 0 < r < 1, RangeError when r is so extreme
+    that the nome leaves the representable range, and ConvergenceError
+    when the computed constants miss ROOT_TOL.
     """
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and 0.0 < r < 1.0):
-        raise DomainError(f"inner radius must lie strictly between 0 and 1, got {r!r}")
-    if not (isinstance(tol, (int, float)) and tol > 0.0):
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-
+    check_r(r)
     omega1 = -math.log(r)
     swapped = omega1 > _PI
     if swapped:
@@ -261,11 +261,13 @@ def make_elliptic_context(r: float, tol: float = 1e-12) -> EllipticContext:
     # representable at all.
     if not (e1 >= e2 >= e3) or not (e1 > e3):
         raise ConvergenceError(f"half-period values out of order: {e1}, {e2}, {e3}")
-    if abs(e1 + e2 + e3) > tol * scale:
-        raise ConvergenceError("e1+e2+e3 = 0 not met at the requested tolerance")
+    if abs(e1 + e2 + e3) > ROOT_TOL * scale:
+        raise ConvergenceError(f"e1+e2+e3 = 0 not met to ROOT_TOL = {ROOT_TOL!r} at r = {r!r}")
     for ei in (e1, e2, e3):
-        if abs(4.0 * ei**3 - g2 * ei - g3) > tol * scale:
-            raise ConvergenceError("cubic root residual not met at the requested tolerance")
+        if abs(4.0 * ei**3 - g2 * ei - g3) > ROOT_TOL * scale:
+            raise ConvergenceError(
+                f"cubic root residual not met to ROOT_TOL = {ROOT_TOL!r} at r = {r!r}"
+            )
 
     return EllipticContext(
         omega1=omega1,
@@ -279,7 +281,6 @@ def make_elliptic_context(r: float, tol: float = 1e-12) -> EllipticContext:
         eta3_im=eta3_im,
         c=eta1 / omega1,
         q=math.exp(lnq),
-        tol=tol,
         _frame=frame,
     )
 

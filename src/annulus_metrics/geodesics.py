@@ -57,8 +57,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InternalConsistencyError, RangeError
-from .hardy import _DiagonalProduct, _check_r, _poly
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    InternalConsistencyError,
+    RangeError,
+    check_point,
+    check_r,
+    check_t_end,
+)
+from .hardy import _DiagonalProduct, _poly
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,6 +85,9 @@ Q_HORIZON = 0.999910148850554
 #: (W regime); correctly rounded, so r < SQUARE_R is r < e^-pi for every double r,
 #: where math.exp(-math.pi) comes out 1.2 ulp high
 SQUARE_R = 0.04321391826377225
+
+#: default per-step error tolerance of integrate, which accepts (0, 1e-3].
+STEP_TOL = 1e-9
 
 #: closure distances below this mean the trace returned to its start.
 CLOSURE_TOL = 1e-6
@@ -205,8 +216,7 @@ class MetricField:
     def __init__(self, r: float, metric: str):
         if metric not in ("c", "s"):
             raise DomainError(f"metric must be 'c' or 's', got {metric!r}")
-        _check_r(r)
-        self.r = float(r)
+        self.r = check_r(r)
         self.metric = metric
         self._product = _DiagonalProduct(self.r)
 
@@ -221,10 +231,8 @@ class MetricField:
 
     def density_and_log_gradient(self, z: complex) -> tuple:
         """Return (m(z), d/dz log m(z)^2)."""
-        z = complex(z)
+        z = check_point(self.r, z)
         rho = abs(z)
-        if not (self.r < rho < 1.0):
-            raise DomainError(f"z = {z!r} is outside the open annulus ({self.r}, 1)")
         phase = complex(z.real / rho, -z.imag / rho)  # e^{-i arg z}
         if self.metric == "c":
             k0, k1 = self._jet(rho, (0, 1))
@@ -292,21 +300,18 @@ def _integrate(
     field: MetricField,
     initial: GeodesicState,
     t_end: float,
-    step_tol: float = 1e-9,
+    step_tol: float = STEP_TOL,
     band: tuple | None = None,
     project: bool = False,
     max_steps: int = 400_000,
 ) -> GeodesicTrace:
     r = field.r
-    z = initial.position
+    z = check_point(r, initial.position, "z0")
     v = initial.velocity
     rho = abs(z)
-    if not (r < rho < 1.0):
-        raise DomainError(f"initial position {z!r} is outside the open annulus ({r}, 1)")
     if v == 0:
         raise DomainError("initial velocity must be nonzero")
-    if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0):
-        raise DomainError(f"t_end must be a positive finite number, got {t_end!r}")
+    check_t_end(t_end)
     if not (0.0 < step_tol <= 1e-3):
         raise DomainError(f"step_tol must lie in (0, 1e-3], got {step_tol!r}")
 
@@ -446,7 +451,7 @@ def integrate(
     metric: str,
     initial: GeodesicState,
     t_end: float,
-    step_tol: float = 1e-9,
+    step_tol: float = STEP_TOL,
     project: bool = False,
 ) -> GeodesicTrace:
     """Trace the geodesic from the given state for parameter length t_end.
@@ -497,7 +502,12 @@ def _closed_circle(field: MetricField) -> ClosedGeodesic:
             _, g = field.density_and_log_gradient(complex(rho, 0.0))
             return (1.0 + rho * g.real) / x
 
-        x1 = _bracketed_root(rate, math.log(field.r * (1.0 + 1e-3) / rs), 0.0, 1e-14)
+        try:
+            x1 = _bracketed_root(rate, math.log(field.r * (1.0 + 1e-3) / rs), 0.0, 1e-14)
+        except RangeError:
+            # below r of about 1e-305 the density at r(1 + 1e-3), about 1e3/r,
+            # is past double range; at 2r it is finite and still in the flank
+            x1 = _bracketed_root(rate, math.log(2.0 * field.r / rs), 0.0, 1e-14)
         if x1 is None:
             raise InternalConsistencyError(f"no flank circle between r and sqrt(r) at r = {field.r!r}")
         rho_star = rs * math.exp(x1)
@@ -804,12 +814,9 @@ def spiral_trace(
     smallest gap can hold at an unstable circle.
     """
     field = MetricField(r, metric)
-    z0 = complex(z0)
+    z0 = check_point(field.r, z0, "z0")
     rho0 = abs(z0)
-    if not (field.r < rho0 < 1.0):
-        raise DomainError(f"z0 = {z0!r} is outside the open annulus ({r}, 1)")
-    if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0):
-        raise DomainError(f"t_end must be a positive finite number, got {t_end!r}")
+    check_t_end(t_end)
     rs = math.sqrt(field.r)
     rho1 = _closed_circle(field).rho_star  # sqrt(r) exactly in the U regime
     circles = [rs] if rho1 == rs else [rs, rho1, field.r / rho1]

@@ -24,12 +24,12 @@ Summation conventions of the core:
   - terms are paired n with -n-1 and the pairs summed with math.fsum;
   - magnitudes are built as exponentials of logarithms, so sweeps down
     to r = 1e-8 and beyond stay inside double range;
-  - each weight starts at Truncation.n_max pairs and doubles, up to a
-    hard cap, until its own geometric tail bound drops below tail_tol
-    relative to the sum of absolute values.  A weight's pair count
-    depends on nothing but the weight and the annulus, so the weight-1
-    sum is bitwise the same in moment_sums, on the kernel diagonal and
-    in the jet entry (0, 0).
+  - each weight starts at FIRST_PAIRS = 512 pairs and doubles, up to
+    HARD_CAP, until its own geometric tail bound drops below tail_tol,
+    the one setting of Truncation, relative to the sum of absolute
+    values.  A weight's pair count depends on nothing but the weight,
+    the annulus and tail_tol, so the weight-1 sum is bitwise the same in
+    moment_sums, on the kernel diagonal and in the jet entry (0, 0).
 
 The geodesic field takes log 2*pi*S(z, z) and its derivatives from a
 second core, _DiagonalProduct, Ramanujan's 1psi1 product, whose factors
@@ -49,10 +49,16 @@ from .errors import (
     DomainError,
     InternalConsistencyError,
     RangeError,
+    check_lambda,
+    check_point,
+    check_r,
 )
 from .jets import MAX_ORDER, WirtingerJet
 
 TWO_PI = 2.0 * math.pi
+
+#: pairs n, -n-1 of every series' first pass
+FIRST_PAIRS = 512
 
 HARD_CAP = 2**20
 
@@ -81,33 +87,20 @@ class GeneralAnnulus:
         return self.r_in < 1.0 < self.r_out
 
 
-def _check_r(r: float) -> None:
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and 0.0 < r < 1.0):
-        raise DomainError(f"inner radius must lie strictly between 0 and 1, got {r!r}")
-
-
 def unit_annulus(r: float) -> GeneralAnnulus:
     """The normalized annulus A_r = {r < |z| < 1}."""
-    _check_r(r)
-    return GeneralAnnulus(float(r), 1.0)
+    return GeneralAnnulus(check_r(r), 1.0)
 
 
 @dataclass(frozen=True)
 class Truncation:
-    """Summation budget: initial pair count and relative tail tolerance."""
+    """Relative tail tolerance every series meets, in (0, 1e-2]."""
 
-    n_max: int = 512
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (isinstance(self.n_max, int) and self.n_max >= 1):
-            raise DomainError(f"n_max must be a positive integer, got {self.n_max!r}")
-        if not (
-            isinstance(self.tail_tol, (int, float))
-            and math.isfinite(self.tail_tol)
-            and self.tail_tol > 0.0
-        ):
-            raise DomainError(f"tail_tol must be positive, got {self.tail_tol!r}")
+        if not (isinstance(self.tail_tol, (int, float)) and 0.0 < self.tail_tol <= 1e-2):
+            raise DomainError(f"tail_tol must lie in (0, 1e-2], got {self.tail_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -201,11 +194,11 @@ def _series(a: GeneralAnnulus, theta: float, weights, tr: Truncation, what: str)
         return tail + _poly(w_abs, n_pairs + 1.0) * e_last_neg * _geometric(growth + 2 * log_rin)
 
     exhausted = (
-        f"{what} did not meet tail_tol={tr.tail_tol!r} with {tr.n_max} pairs"
+        f"{what} did not meet tail_tol={tr.tail_tol!r} with {FIRST_PAIRS} pairs"
         f" doubled up to the cap of {HARD_CAP}"
     )
     out = [None] * len(weights)
-    n_pairs = tr.n_max
+    n_pairs = FIRST_PAIRS
     while n_pairs <= HARD_CAP:
         n = np.arange(n_pairs + 1.0)
         n_neg = -n - 1.0
@@ -330,12 +323,9 @@ def moment_sums(a: GeneralAnnulus, j_max: int, tr: Truncation = Truncation()) ->
 
 def szego_kernel(r: float, z: complex, w: complex, tr: Truncation = Truncation()) -> complex:
     """Boundary reproducing kernel S(z, w) of the annulus {r < |.| < 1}."""
-    _check_r(r)
-    z = complex(z)
-    w = complex(w)
-    for name, p in (("z", z), ("w", w)):
-        if not (r < abs(p) < 1.0):
-            raise DomainError(f"{name} = {p!r} is outside the open annulus ({r}, 1)")
+    r = check_r(r)
+    z = check_point(r, z)
+    w = check_point(r, w, "w")
     t = z * w.conjugate()
     where = f"|z| = {abs(z)!r}, |w| = {abs(w)!r}"
     frame, log_unscale = _frame(r, math.log(math.sqrt(abs(z) * abs(w))) / math.log(r), where)
@@ -353,13 +343,11 @@ def szego_kernel_jet(
     (j, k) is e^(i(k-j) arg z) |z|^(-j-k) times a real weighted sum,
     symmetric in (j, k).
     """
-    _check_r(r)
+    r = check_r(r)
     if not isinstance(order, int) or not (0 <= order <= MAX_ORDER):
         raise DomainError(f"order must be an integer in [0, {MAX_ORDER}], got {order!r}")
-    z = complex(z)
+    z = check_point(r, z)
     rho = abs(z)
-    if not (r < rho < 1.0):
-        raise DomainError(f"z = {z!r} is outside the open annulus ({r}, 1)")
     theta = math.atan2(z.imag, z.real)
     frame, log_unscale = _frame(r, math.log(rho) / math.log(r), f"|z| = {rho!r}")
     pairs = [(j, k) for j in range(order + 1) for k in range(j, order + 1)]
@@ -426,9 +414,8 @@ def _j_at_one(ms: MomentSums) -> JAtOne:
 
 def moment_sums_on_A_r(r: float, lam: float, tr: Truncation = Truncation()) -> MomentSums:
     """s_0..s_4 of the annulus {r < |.| < 1} rescaled so that r^lambda sits at 1."""
-    _check_r(r)
-    if not (isinstance(lam, (int, float)) and 0.0 < lam < 1.0):
-        raise DomainError(f"lambda must lie strictly between 0 and 1, got {lam!r}")
+    check_r(r)
+    check_lambda(lam)
     return moment_sums(_frame(r, lam, f"|z| = r^lambda = {r ** lam!r}")[0], 4, tr)
 
 

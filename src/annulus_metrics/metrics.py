@@ -36,6 +36,8 @@ from .errors import (
     DomainError,
     InternalConsistencyError,
     ShapeError,
+    check_point,
+    check_r,
 )
 from .hardy import (
     JOnAr,
@@ -96,15 +98,6 @@ class ProbeResult(NamedTuple):
     psi: str
 
 
-def _check_interior(r: float, z: complex) -> complex:
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and 0.0 < r < 1.0):
-        raise DomainError(f"inner radius must lie strictly between 0 and 1, got {r!r}")
-    zc = complex(z)
-    if not (r < abs(zc) < 1.0):
-        raise DomainError(f"z = {z!r} is outside the open annulus ({r}, 1)")
-    return zc
-
-
 @lru_cache(maxsize=128)
 def _context_for(r: float) -> EllipticContext:
     return make_elliptic_context(r)
@@ -133,7 +126,7 @@ def sample(r: float, z: complex, tr: Truncation = Truncation()) -> MetricSample:
     scaled maximal domain functions J0, J1, J2 give S = J0 and the rest
     (see metric_from_j).
     """
-    zc = _check_interior(r, z)
+    zc = check_point(check_r(r), z)
     lam = math.log(abs(zc)) / math.log(r)
     if not lam < 1.0:
         raise ConvergenceError(
@@ -152,7 +145,7 @@ def szego_metric_wp(r: float, z: complex) -> float:
     the lattice with half-periods omega1 = -log r and omega3 = i*pi.
     The difference is real and positive for r < |z| < 1.
     """
-    zc = _check_interior(r, z)
+    zc = check_point(check_r(r), z)
     ctx = _context_for(r)
     u = 2.0 * math.log(abs(zc))
     shift = complex(ctx.omega1, ctx.omega3_im)
@@ -174,7 +167,7 @@ def capacity_metric(r: float, z: complex, tr: Truncation = Truncation()) -> floa
     c_beta(z) = 2*pi*S(z) / sigma2_star(-2 log|z|), the factorization
     partner of the Szego kernel on the annulus.
     """
-    zc = _check_interior(r, z)
+    zc = check_point(check_r(r), z)
     ctx = _context_for(r)
     u = -2.0 * math.log(abs(zc))
     s2s = sigma2_star_sq(ctx, u)
@@ -192,7 +185,7 @@ def capacity_log_laplacian(r: float, z: complex) -> float:
     Equals (p(2 log|z|) + eta1/omega1) / |z|^2, which is positive on
     the annulus, so the capacity metric has negative curvature.
     """
-    zc = _check_interior(r, z)
+    zc = check_point(check_r(r), z)
     ctx = _context_for(r)
     u = 2.0 * math.log(abs(zc))
     val = wp(ctx, complex(u, 0.0))
@@ -209,7 +202,7 @@ def szego_log_density_laplacian_wp(r: float, z: complex) -> float:
     Equals -(p(2 log|z| + omega1 + omega3) + eta1/omega1) / |z|^2; with
     capacity_log_laplacian it splits d dbar log S into its two factors.
     """
-    zc = _check_interior(r, z)
+    zc = check_point(check_r(r), z)
     ctx = _context_for(r)
     u = 2.0 * math.log(abs(zc))
     shift = complex(ctx.omega1, ctx.omega3_im)
@@ -247,7 +240,7 @@ def higher_curvature(
     the szego N = 2 case would need kernel jets beyond the budget and
     raises ShapeError.
     """
-    zc = _check_interior(r, z)
+    zc = check_point(check_r(r), z)
     if not isinstance(N, int) or N not in (1, 2):
         raise DomainError(f"N must be 1 or 2, got {N!r}")
     if which == "caratheodory":
@@ -311,7 +304,7 @@ def boundary_asymptotics_probe(
     values = []
     order = max(k, l)
     for rho in points:
-        zc = _check_interior(r, rho)
+        zc = check_point(check_r(r), rho)
         jet = szego_kernel_jet(r, zc, order, tr)
         deriv = jet.at(k, l)
         if boundary == "outer":

@@ -33,7 +33,7 @@ from .metrics import (
     sample,
     szego_metric_wp,
 )
-from .variation import SweepSpec, asymptotic_N, limit_classifier, run_sweep
+from .variation import DEFAULT_SWEEP_R, SweepSpec, asymptotic_N, limit_classifier, run_sweep
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,7 +118,7 @@ def _metric_at(r: float, lam: float, quantity: str) -> float:
 
 def _classify(lam: float, quantity: str):
     spec = SweepSpec(
-        r_values=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8),
+        r_values=DEFAULT_SWEEP_R,
         lambda_values=(lam,),
         quantities=(quantity,),
     )

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import ConvergenceError, DomainError, RangeError
+from .errors import ConvergenceError, DomainError, RangeError, check_lambda, check_r
 from .hardy import (
     JOnAr,
     Truncation,
@@ -27,6 +27,21 @@ from .metrics import metric_from_j
 TWO_PI = 2.0 * math.pi
 
 QUANTITIES = ("c", "s", "kappa_c", "kappa_s", "N0", "N1", "N2", "ratio_s_over_c")
+
+# down to 1e-8 so divergent columns clear the classifier's magnitude gate
+DEFAULT_SWEEP_R = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+
+DEFAULT_SWEEP_LAMBDAS = (
+    0.10,
+    1.0 / 6.0,
+    0.25,
+    1.0 / 3.0,
+    0.5,
+    2.0 / 3.0,
+    0.75,
+    5.0 / 6.0,
+    0.90,
+)
 
 DIVERGENCE_MAGNITUDE = 1e3
 DIVERGENCE_GROWTH_PER_DECADE = 2.0
@@ -53,19 +68,17 @@ class SweepSpec:
         if not self.quantities:
             raise DomainError("quantities must be nonempty")
         for r in self.r_values:
-            if not (math.isfinite(r) and 0.0 < r < 1.0):
-                raise DomainError(f"r values must lie strictly between 0 and 1, got {r!r}")
+            check_r(r)
         if any(a <= b for a, b in zip(self.r_values, self.r_values[1:])):
             raise DomainError("r_values must be strictly decreasing")
         for lam in self.lambda_values:
-            if not (math.isfinite(lam) and 0.0 < lam < 1.0):
-                raise DomainError(
-                    f"lambda values must lie strictly between 0 and 1, got {lam!r}"
-                )
+            check_lambda(lam)
         seen = set()
         for q in self.quantities:
             if q not in QUANTITIES:
-                raise DomainError(f"unknown quantity {q!r}; choose from {QUANTITIES}")
+                raise DomainError(
+                    f"unknown quantity {q!r}; choose from {', '.join(QUANTITIES)}"
+                )
             if q in seen:
                 raise DomainError(f"duplicate quantity {q!r}")
             seen.add(q)
@@ -109,10 +122,8 @@ def asymptotic_N(r: float, lam: float, j: int) -> float:
     r^(3 lambda) J1 tracks N1/N0, and r^(5 lambda) J2 tracks N2/N1,
     with relative error vanishing as r -> 0.
     """
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and 0.0 < r < 1.0):
-        raise DomainError(f"inner radius must lie strictly between 0 and 1, got {r!r}")
-    if not (isinstance(lam, (int, float)) and 0.0 < lam < 1.0):
-        raise DomainError(f"lambda must lie strictly between 0 and 1, got {lam!r}")
+    check_r(r)
+    check_lambda(lam)
     if j not in (0, 1, 2):
         raise DomainError(f"j must be 0, 1 or 2, got {j!r}")
     mu = 1.0 - lam

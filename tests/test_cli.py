@@ -131,25 +131,54 @@ def test_eval_output_file_matches_stdout(tmp_path, capsys):
     assert path.read_text() == stdout_text
 
 
-def test_eval_env_var_sets_tail_tol(capsys, monkeypatch):
-    monkeypatch.setenv("ANNULUS_METRICS_TAIL_TOL", "1e-6")
-    _, out, _ = run_cli(capsys, "eval", "--r", "0.5", "--z", "0.7")
-    assert "tail_tol=9.9999999999999995e-07" in out
-
-
-def test_eval_flag_beats_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("ANNULUS_METRICS_TAIL_TOL", "1e-6")
+def test_eval_tail_tol_flag(capsys):
     _, out, _ = run_cli(
         capsys, "eval", "--r", "0.5", "--z", "0.7", "--tail-tol", "1e-10"
     )
     assert "tail_tol=1e-10 " in out
 
 
-def test_eval_bad_env_var_exit_2(capsys, monkeypatch):
+def test_eval_ignores_the_environment(capsys, monkeypatch):
+    monkeypatch.delenv("ANNULUS_METRICS_TAIL_TOL", raising=False)
+    unset = run_cli(capsys, "eval", "--r", "0.5", "--z", "0.7")
     monkeypatch.setenv("ANNULUS_METRICS_TAIL_TOL", "bogus")
-    code, _, err = run_cli(capsys, "eval", "--r", "0.5", "--z", "0.7")
+    assert run_cli(capsys, "eval", "--r", "0.5", "--z", "0.7") == unset
+    assert unset[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (
+            ("eval", "--r", "0.5", "--z", "0.7", "--tail-tol", "0.5"),
+            "tail_tol must lie in (0, 1e-2]",
+        ),
+        (
+            ("geodesic", "--r", "0.5", "--metric", "s", "--z0", "0.7", "--t-end", "1",
+             "--step-tol", "5e-3"),
+            "step_tol must lie in (0, 1e-3]",
+        ),
+    ],
+)
+def test_tolerance_past_its_bound_exit_2(capsys, argv, bound):
+    code, _, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "ANNULUS_METRICS_TAIL_TOL" in err
+    assert bound in err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("eval", "--tail-tol TAIL_TOL series tail tolerance in (0, 1e-2]; default 1e-12"),
+        ("sweep", "--tail-tol TAIL_TOL series tail tolerance in (0, 1e-2]; default 1e-12"),
+        ("geodesic", "--step-tol STEP_TOL step error tolerance in (0, 1e-3]; default 1e-09"),
+        ("sweep", "default 0.01,0.001,0.0001,1e-05,1e-06,1e-07,1e-08 "),
+    ],
+)
+def test_help_states_the_library_ranges_and_defaults(capsys, command, text):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert text in " ".join(capsys.readouterr().out.split())
 
 
 # ---------------------------------------------------------------------------

@@ -369,8 +369,10 @@ def test_w_regime_returns_the_inner_flank_circle():
 @pytest.mark.parametrize("metric", ["c", "s"])
 def test_closed_circle_over_the_whole_domain(metric):
     # the grid search raised InternalConsistencyError for s at r = 1e-4,
-    # 1e-5 and 1e-12, and for c at every r <= 1e-6
-    for r in [10.0**-k for k in (*range(1, 13), 20, 50, 100, 300)] + [SQUARE_R, 0.5, 0.9]:
+    # 1e-5 and 1e-12, and for c at every r <= 1e-6; below 1e-305 the
+    # bracket's end r(1 + 1e-3) is past double range for s
+    tiny = [1e-306, 1e-307, 1e-308, 2.2250738585072014e-308]
+    for r in [10.0**-k for k in (*range(1, 13), 20, 50, 100, 300)] + tiny + [SQUARE_R, 0.5, 0.9]:
         circle = find_closed_geodesic(r, metric)
         assert circle.residual <= 1e-12, r
         if metric == "c" or r >= SQUARE_R:
