@@ -220,14 +220,15 @@ class MetricField:
         self.metric = metric
         self._product = _DiagonalProduct(self.r)
 
-    def _jet(self, rho: float, orders: tuple) -> list:
+    def _at(self, rho: float) -> _DiagonalProduct:
+        """The product, for a radius inside the escape horizon."""
         q = max(rho * rho, (self.r / rho) ** 2)
         if q > Q_HORIZON:
             raise ConvergenceError(
                 f"density field stops at the escape horizon: |z| = {rho!r} with r = {self.r!r}"
                 f" gives max(|z|^2, r^2/|z|^2) = {q!r} > Q_HORIZON = {Q_HORIZON!r}"
             )
-        return self._product.jet(rho, orders)
+        return self._product
 
     def density_and_log_gradient(self, z: complex) -> tuple:
         """Return (m(z), d/dz log m(z)^2)."""
@@ -235,14 +236,14 @@ class MetricField:
         rho = abs(z)
         phase = complex(z.real / rho, -z.imag / rho)  # e^{-i arg z}
         if self.metric == "c":
-            k0, k1 = self._jet(rho, (0, 1))
+            k0, k1 = self._at(rho).jet(rho, (0, 1))
             try:
                 m = math.exp(k0)
             except OverflowError:
                 m = math.inf
             g = 2.0 * phase * (k1 / rho)
         else:
-            k2, k3_less_k2 = self._jet(rho, (2, 3))
+            k2, k3_less_k2 = self._at(rho).jet(rho, (2, 3))
             if not k2 > 0.0:
                 raise InternalConsistencyError(
                     f"log-kernel Laplacian came out nonpositive ({k2})"
@@ -262,13 +263,13 @@ class MetricField:
         """Gaussian curvature of the density on the circle |z| = rho.
 
         -(log f)''/f^2 with f = rho m and x = log rho: (log f)'' is 4 K''
-        for c and 2 (K''''/K'' - (K'''/K'')^2) for s (f = sqrt K'').
+        for c and 2 (K''''/K'' - (K'''/K'')^2) for s (f = sqrt K''), which
+        _DiagonalProduct.szego gives, as it does for sample.
         """
         if self.metric == "c":
-            k0, k2 = self._jet(rho, (0, 2))
+            k0, k2 = self._at(rho).jet(rho, (0, 2))
             return -4.0 * k2 / (rho * math.exp(k0)) ** 2
-        k2, k3_less_k2, k4 = self._jet(rho, (2, 3, 4))
-        return -2.0 * (k4 - (k3_less_k2 + k2) ** 2 / k2) / (k2 * k2)
+        return self._at(rho).szego(rho)[1]
 
 
 def geodesic_rhs(r: float, metric: str, state: GeodesicState) -> complex:

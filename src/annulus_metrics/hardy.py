@@ -31,14 +31,16 @@ Summation conventions of the core:
     the annulus and tail_tol, so the weight-1 sum is bitwise the same in
     moment_sums, on the kernel diagonal and in the jet entry (0, 0).
 
-The geodesic field takes log 2*pi*S(z, z) and its derivatives from a
-second core, _DiagonalProduct, Ramanujan's 1psi1 product, whose factors
-converge like r^2 at every |z|; _series stays the independent route.
+The geodesic field, and metrics.sample for everything but S itself,
+take log 2*pi*S(z, z) and its derivatives from a second core,
+_DiagonalProduct, Ramanujan's 1psi1 product, whose factors converge
+like r^2 at every |z|; _series stays the independent route.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +63,9 @@ TWO_PI = 2.0 * math.pi
 FIRST_PAIRS = 512
 
 HARD_CAP = 2**20
+
+#: leading terms of each row whose pairs _DiagonalProduct.szego takes in closed form
+LEAD_TERMS = 2
 
 
 @dataclass(frozen=True)
@@ -258,17 +263,20 @@ class _DiagonalProduct:
     or s r^j q/t (row 1), made from rho = |z| and y = r/rho; what underflows
     is far below K'' > sqrt(r)/4.  j = 0 holds 1 - t = (1 - rho)(1 + rho) and
     1 - q/t = ((rho - r)/rho)((rho + r)/rho); j = -1 holds 1 + r/t, written
-    (r/t)(1 + t/r) in row 0 below the waist; j <= 2N, r^(2N+1) <= 2^-60.
+    (r/t)(1 + t/r) in row 0 below the waist; j <= 2N, r^(2N+1) <= 2^-60,
+    or <= tail_tol where that is tighter.
     Per term, with +- for rows 0 and 1, the v-derivatives are +-u/(1-u),
     u/(1-u)^2, +-u(1+u)/(1-u)^3 and u(1+4u+u^2)/(1-u)^4.  jet gives K^(j)
     for j in orders, but order 3 gives K''' - K'', summed termwise as
     2|u|(u or -1)/(1-u)^3 so that it stays accurate where s is nearly flat.
+    szego gives K'' and the Szego curvature, whose numerator cancels.
     """
 
-    def __init__(self, r: float):
+    def __init__(self, r: float, tail_tol: float = 2.0**-60):
         self.r = r
         log_r = math.log(r)
-        n = math.ceil((60.0 * math.log(2.0) - log_r) / (-2.0 * log_r))
+        digits = max(60.0 * math.log(2.0), -math.log(tail_tol))
+        n = math.ceil((digits - log_r) / (-2.0 * log_r))
         j = np.arange(-1.0, 2 * n + 1)
         self._powers = np.power(r, np.maximum(j, 0.0))
         self._powers[0] = 0.0  # the j = -1 slot is filled per point
@@ -276,16 +284,21 @@ class _DiagonalProduct:
         odd, even = self._powers[2::2], self._powers[3::2]
         self._log_constant = 2.0 * (math.fsum(np.log1p(-even)) - math.fsum(np.log1p(odd)))
 
-    def jet(self, rho: float, orders: tuple) -> list:
+    def _terms(self, rho: float) -> tuple:
+        """|u|, u and 1 - u of every term at |z| = rho, and y = r/rho."""
         r = self.r
         y = r / rho
         e = np.multiply.outer((rho * rho, y * y), self._powers)
-        below = y > rho
-        e[0, 0], e[1, 0] = (rho / y, 0.0) if below else (0.0, y / rho)
+        e[0, 0], e[1, 0] = (rho / y, 0.0) if y > rho else (0.0, y / rho)
         u = e * self._signs
         d = 1.0 - u
         d[0, 1] = (1.0 - rho) * (1.0 + rho)
         d[1, 1] = ((rho - r) / rho) * ((rho + r) / rho)
+        return e, u, d, y
+
+    def jet(self, rho: float, orders: tuple) -> list:
+        e, u, d, y = self._terms(rho)
+        below = y > rho
         p = e / d
         out = []
         for order in orders:
@@ -303,6 +316,50 @@ class _DiagonalProduct:
             else:
                 out.append(float(np.add.reduce(p * (1.0 + u * (4.0 + u)) / (d * d * d), None)))
         return out
+
+    def szego(self, rho: float) -> tuple:
+        """K'' and the Szego curvature kappa_s = -2 (K'' K'''' - K'''^2) / K''^3.
+
+        Per term, K'', K''' and K'''' are a = |u|/(1-u)^2, +-a(1+u)/(1-u)
+        and a(1+4u+u^2)/(1-u)^2, so the numerator is the double sum of
+        a_i b_j - c_i c_j.  For tiny r its leading parts cancel: the plain
+        products give -0.0 at r = 1e-100.  So the pairs among the first
+        LEAD_TERMS terms of each row (j = -1 and j = 0) are taken in closed
+        form: one term alone gives 2u^3/(1-u)^6, and two terms give
+        2|uw| m / ((1-u)(1-w))^4, where m = u + w + 2(u-w)^2 - 4uw + uw(u+w)
+        within a row and 2 + u + w - 8uw + uw(u+w) + 2u^2w^2 across the rows.
+        The rest is r times smaller and is summed from products of the
+        plain sums.  Every |u| is divided by the power of two just above
+        the largest, so K''^3 (1e-360 at r = 1e-300) never underflows;
+        |kappa_s| is at most about r^(-1/2), which is representable.
+        """
+        e, u, d, _ = self._terms(rho)
+        g = math.ldexp(1.0, math.frexp(float(e.max()))[1])
+        e = e / g
+        a = e / (d * d)
+        c = a * (1.0 + u) / d
+        c[1] = -c[1]
+        b = a * (1.0 + u * (4.0 + u)) / (d * d)
+        lead, rest = np.s_[:, :LEAD_TERMS], np.s_[:, LEAD_TERMS:]
+        (a0, a1), (b0, b1), (c0, c1) = (
+            (float(x[lead].sum()), float(x[rest].sum())) for x in (a, b, c)
+        )
+        ul, dl, el = u[lead].ravel(), d[lead].ravel(), e[lead].ravel()
+        uw, both = np.multiply.outer(ul, ul), np.add.outer(ul, ul)
+        row = np.repeat((0, 1), LEAD_TERMS)
+        m = uw * both + np.where(
+            np.equal.outer(row, row),
+            both + 2.0 * np.subtract.outer(ul, ul) ** 2 - 4.0 * uw,
+            2.0 + both - 8.0 * uw + 2.0 * uw * uw,
+        )
+        w = el / dl**4
+        pairs = float(np.triu(np.multiply.outer(w, w) * m, 1).sum())
+        alone = float((el * el * ul / dl**6).sum())
+        numerator = math.fsum(
+            (2.0 * pairs, 2.0 * alone, a0 * b1, a1 * b0, -2.0 * c0 * c1, a1 * b1, -c1 * c1)
+        )
+        k2 = a0 + a1
+        return g * k2, -2.0 * numerator / (g * k2**3)
 
 
 def moment_sums(a: GeneralAnnulus, j_max: int, tr: Truncation = Truncation()) -> MomentSums:
@@ -328,7 +385,10 @@ def szego_kernel(r: float, z: complex, w: complex, tr: Truncation = Truncation()
     w = check_point(r, w, "w")
     t = z * w.conjugate()
     where = f"|z| = {abs(z)!r}, |w| = {abs(w)!r}"
-    frame, log_unscale = _frame(r, math.log(math.sqrt(abs(z) * abs(w))) / math.log(r), where)
+    zw = abs(z) * abs(w)
+    # |z| |w| underflows for |z| = |w| = 1e-160, a point of A_r at r = 1e-300
+    sigma = math.sqrt(zw) if zw >= sys.float_info.min else math.sqrt(abs(z)) * math.sqrt(abs(w))
+    frame, log_unscale = _frame(r, math.log(sigma) / math.log(r), where)
     what = f"kernel series at {where} with r = {r!r}"
     ((value, _, _),) = _series(frame, math.atan2(t.imag, t.real), [(1.0,)], tr, what)
     return complex(value) * math.exp(log_unscale)

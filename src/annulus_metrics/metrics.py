@@ -1,14 +1,18 @@
 """Invariant metrics and curvatures on the annulus A_r = {r < |z| < 1}.
 
-Two independent computation routes live here.  The series route goes
-through the Hardy-space maximal domain functions: the kernel diagonal
-gives the Caratheodory density c = 2*pi*S, and the ratios J1/J0 and
-J0*J2/J1^2 give the Szego density and its curvature.  The elliptic
-route expresses the same Szego density through a difference of
-Weierstrass p-values on the rectangular lattice (2 log r, 2 pi i), and
-the capacity metric through the sigma2-star factor.  The two routes
-share no code below the complex plane, which is what makes their
-agreement a meaningful check.
+Three computation routes live here.  sample takes the kernel diagonal
+S, and the Caratheodory density c = 2*pi*S, from the Laurent series of
+hardy.szego_kernel, and the Szego density s and both curvatures from
+the derivatives of log 2*pi*S that Ramanujan's 1psi1 product gives
+(hardy._DiagonalProduct).  The J route, metric_from_j, gets the same
+four quantities from the Hardy-space maximal domain functions J0, J1,
+J2, moment sums of the Laurent series, through the ratios J1/J0 and
+J0*J2/J1^2; the sweep uses it.  The elliptic route expresses the
+Szego density through a difference of Weierstrass p-values on the
+rectangular lattice (2 log r, 2 pi i), and the capacity metric
+through the sigma2-star factor.  It shares no code below the complex
+plane with the other two, which is what makes their agreement a
+meaningful check.
 
 Curvature conventions: kappa = -(Delta log m)/m^2 with Delta the full
 Laplacian, so the unit disc density 1/(1-|z|^2) has kappa = -4.  The
@@ -35,6 +39,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     InternalConsistencyError,
+    RangeError,
     ShapeError,
     check_point,
     check_r,
@@ -42,13 +47,16 @@ from .errors import (
 from .hardy import (
     JOnAr,
     Truncation,
-    j_functions_on_A_r,
+    _DiagonalProduct,
     szego_kernel,
     szego_kernel_jet,
 )
 from .jets import MAX_ORDER, WirtingerJet, jet_log, jet_sqrt
 
 TWO_PI = 2.0 * math.pi
+
+#: relative slack of MetricSample's check s >= c
+S_OVER_C_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,7 +85,7 @@ class MetricSample:
         # The strict forms s >= c, kappa_s <= 4, kappa_c <= -4 hold
         # mathematically; the slack covers the last-bit rounding of the
         # degenerate (disc-limit) corners where equality is approached.
-        if self.s < self.c * (1 - 1e-12):
+        if self.s < self.c * (1 - S_OVER_C_SLACK):
             raise InternalConsistencyError(
                 f"s = {self.s} fell below c = {self.c}"
             )
@@ -120,22 +128,43 @@ def metric_from_j(J: JOnAr, quantity: str) -> float:
 
 
 def sample(r: float, z: complex, tr: Truncation = Truncation()) -> MetricSample:
-    """Metric sample at z via the Hardy-series route.
+    """Metric sample at z: S from the kernel series, the rest from the product.
 
-    Rotation invariance reduces everything to |z| = r^lambda, where the
-    scaled maximal domain functions J0, J1, J2 give S = J0 and the rest
-    (see metric_from_j).
+    S is the weight-1 Laurent sum of szego_kernel(r, z, z), and c = 2*pi*S.
+    s, kappa_c and kappa_s come from the derivatives of K = log 2*pi*S in
+    v = log|z|^2 that hardy._DiagonalProduct, Ramanujan's 1psi1 product,
+    gives at the same cost at every |z|:
+      s = sqrt(K'')/|z|,  kappa_c = -4 K''/(|z| c)^2,
+      kappa_s = -2 (K'' K'''' - K'''^2)/K''^3 (see _DiagonalProduct.szego).
+    The J route, metric_from_j(j_functions_on_A_r(...)), is the independent
+    check of these.  ConvergenceError where |z| is within rounding of a
+    circle or the kernel series misses its tolerance, RangeError where a
+    value is past double range.
     """
     zc = check_point(check_r(r), z)
-    lam = math.log(abs(zc)) / math.log(r)
-    if not lam < 1.0:
+    rho = abs(zc)
+    if not math.log(rho) / math.log(r) < 1.0:
         raise ConvergenceError(
-            f"|z| = {abs(zc)!r} is within rounding of the inner circle of A_r"
+            f"|z| = {rho!r} is within rounding of the inner circle of A_r"
             f" with r = {r!r}: lambda = log|z| / log r rounds to 1"
         )
-    J = j_functions_on_A_r(r, lam, tr)
-    values = (metric_from_j(J, q) for q in ("c", "s", "kappa_c", "kappa_s"))
-    return MetricSample(zc, J.j0, *values)
+    S = szego_kernel(r, zc, zc, tr).real
+    c = TWO_PI * S
+    k2, kappa_s = _DiagonalProduct(r, tr.tail_tol).szego(rho)
+    rc = rho * c
+    kappa_c = -4.0 * (k2 / rc) / rc
+    if not (math.isfinite(c) and math.isfinite(kappa_c)):
+        raise RangeError(f"c or kappa_c at |z| = {rho!r} with r = {r!r} is past double range")
+    s = math.sqrt(k2) / rho
+    if s < c * (1.0 - S_OVER_C_SLACK):
+        # s >= c holds exactly and the product is good to a few ulps, so the
+        # series overshot: next to the inner circle the rounding of lambda moves
+        # the kernel's frame by about eps / (1 - lambda), relative
+        raise ConvergenceError(
+            f"kernel series at |z| = {rho!r} with r = {r!r} missed its tolerance:"
+            f" c = {c!r} exceeds the product's s = {s!r}"
+        )
+    return MetricSample(zc, S, c, s, kappa_c, kappa_s)
 
 
 def szego_metric_wp(r: float, z: complex) -> float:

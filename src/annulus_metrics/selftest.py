@@ -179,15 +179,17 @@ def _c4():
 def _c5():
     ck = _Checks()
     rng = np.random.default_rng(195)
-    worst = 0.0
+    worst_product = worst_j = 0.0
     for r in (0.2, 0.5, 0.8):
         for _ in range(100):
             rho = rng.uniform(r + 0.02 * (1 - r), 1 - 0.02 * (1 - r))
             z = rho * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-            s_series = sample(r, z).s
             s_wp = szego_metric_wp(r, z)
-            worst = max(worst, abs(s_series - s_wp) / s_series)
-    ck.expect(f"series vs elliptic route at 300 points: max rel {worst:.2e}", worst <= 1e-8)
+            s_j = metric_from_j(j_functions_on_A_r(r, math.log(rho) / math.log(r)), "s")
+            worst_product = max(worst_product, abs(sample(r, z).s - s_wp) / s_wp)
+            worst_j = max(worst_j, abs(s_j - s_wp) / s_wp)
+    for route, worst in (("product (sample)", worst_product), ("J", worst_j)):
+        ck.expect(f"{route} vs elliptic route at 300 points: max rel {worst:.2e}", worst <= 1e-8)
     return ck.result()
 
 
@@ -420,7 +422,7 @@ CRITERIA = (
     Criterion(2, "szego density limits: plateau, sqrt(2) wall, divergent midpoint", True, _c2),
     Criterion(3, "capacity curvature limit table {-4, -8, -inf, -8, -4}", True, _c3),
     Criterion(4, "szego curvature limit table with +4 midpoint and the 4/9 probe", True, _c4),
-    Criterion(5, "szego density series route vs elliptic route at 300 points", True, _c5),
+    Criterion(5, "szego density routes: product (sample) and J vs elliptic at 300 points", True, _c5),
     Criterion(6, "scaled maximal-function ratios approach closed forms monotonically", True, _c6),
     Criterion(7, "elliptic toolkit: ODE residual, quasi-periods, roots, lattice oracle", True, _c7),
     Criterion(8, "boundary scaling of the kernel and curvatures at both circles", True, _c8),

@@ -123,3 +123,27 @@ def fd_laplacian(f, z: complex, h: float = 1e-4) -> float:
     return (
         f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4.0 * f(z)
     ) / h**2
+
+
+def szego_curvature_mp(r: float, rho: float, dps: int = 40):
+    """-2 (K'' K'''' - K'''^2) / K''^3, K = log 2*pi*S(z, z) in v = log|z|^2.
+
+    Ramanujan's 1psi1 product, q = r^2, t = rho^2, makes K a constant plus
+    -log(1 - x) for x = t q^k and q^(k+1)/t, and log(1 + x) for x = r t q^k
+    and r q^k/t, k >= 0.  Each term's v-derivatives are exact rationals in x,
+    with odd orders negated where x falls with v, and the terms are summed
+    until x is below the working precision.
+    """
+    with mpmath.workdps(dps):
+        r, t = mpmath.mpf(r), mpmath.mpf(rho) ** 2
+        q = r * r
+        k2 = k3 = k4 = mpmath.mpf(0)
+        qk = mpmath.mpf(1)
+        while True:
+            for sign, x, rises in ((1, t * qk, 1), (1, q * qk / t, -1), (-1, -r * t * qk, 1), (-1, -r * qk / t, -1)):
+                k2 += sign * x / (1 - x) ** 2
+                k3 += sign * rises * x * (1 + x) / (1 - x) ** 3
+                k4 += sign * x * (1 + 4 * x + x * x) / (1 - x) ** 4
+            if max(t, r / t) * qk < mpmath.mpf(10) ** -(dps + 5):
+                return -2 * (k2 * k4 - k3**2) / k2**3
+            qk *= q

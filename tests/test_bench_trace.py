@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["point_eval", "geodesic_flow"])
+@pytest.mark.parametrize("workload", ["point_eval", "degeneration_sweep", "geodesic_flow"])
 def test_traced_benchmark_run_is_correct(workload):
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"],

@@ -343,6 +343,32 @@ def test_diagonal_product_matches_mpmath(r):
             assert abs(k3_less_k2 / k2 / (ref[3] / ref[2] - 1) - 1) <= 1e-13
 
 
+@pytest.mark.parametrize("r", [1e-300, 1e-100, 1e-18, 1e-8, 0.02, 0.3])
+def test_diagonal_product_szego_curvature_matches_mpmath(r):
+    # kappa_s = -2 (K'' K'''' - K'''^2) / K''^3 at the points above and at
+    # r^0.3, where for tiny r the numerator is r^(1/5) of its parts (-0.0
+    # from plain products at r = 1e-100) and K''^3 underflows at r = 1e-300
+    product = hardy._DiagonalProduct(r)
+    for rho in (r / (1 - 1e-9), r**0.75, math.sqrt(r), r**0.3, r**0.25, 1 - 1e-9):
+        k = kernel_log_jet_mp(r, rho, 4)
+        k2, kappa = product.szego(rho)
+        with mpmath.workdps(400):
+            want = -2 * (k[2] * k[4] - k[3] ** 2) / k[2] ** 3
+            assert abs(kappa / want - 1) <= 1e-13, rho
+            assert abs(k2 / k[2] - 1) <= 1e-13, rho
+
+
+@pytest.mark.parametrize("r", [1e-300, 1e-8, 0.3, 0.95])
+def test_diagonal_product_factor_count(r):
+    # r^(2N+1) <= 2^-60 by default and for tail_tol = 1e-12; a tighter
+    # tail_tol adds factors
+    default = hardy._DiagonalProduct(r)._powers
+    assert np.array_equal(hardy._DiagonalProduct(r, Truncation().tail_tol)._powers, default)
+    tight = hardy._DiagonalProduct(r, 1e-30)._powers
+    assert len(tight) >= len(default)
+    assert r ** (len(tight) - 3) <= 1e-30
+
+
 def test_diagonal_product_fourth_derivative():
     # K'''' enters the waist curvature of s, -2 K''''/K''^2; r = 0.043 is
     # next to the U/W transition, where that curvature changes sign
@@ -569,6 +595,13 @@ def test_jet_diagonal_matches_kernel():
     r, z = 0.4, 0.55 + 0.3j
     jet = szego_kernel_jet(r, z, 3)
     assert jet.at(0, 0) == szego_kernel(r, z, z)
+
+
+def test_kernel_diagonal_where_the_squared_modulus_underflows():
+    # |z|^2 = 1e-320 is subnormal; the frame takes sqrt(|z| |w|) factor by factor
+    r, z = 1e-300, 1e-160 * cmath.exp(0.3j)
+    (k0,) = hardy._DiagonalProduct(r).jet(abs(z), (0,))
+    assert szego_kernel(r, z, z).real == pytest.approx(math.exp(k0) / (2 * PI), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,9 +13,11 @@ from annulus_metrics.errors import (
     DomainError,
     InternalConsistencyError,
     PoleError,
+    RangeError,
     ShapeError,
 )
-from annulus_metrics.hardy import JOnAr
+from annulus_metrics.geodesics import MetricField
+from annulus_metrics.hardy import JOnAr, j_functions_on_A_r
 from annulus_metrics.metrics import (
     MetricSample,
     boundary_asymptotics_probe,
@@ -28,7 +30,7 @@ from annulus_metrics.metrics import (
     szego_metric_wp,
 )
 
-from conftest import mixed_wirtinger_fd
+from conftest import mixed_wirtinger_fd, szego_curvature_mp
 
 PI = math.pi
 
@@ -138,6 +140,75 @@ def test_sample_invariants_random(r, lam, theta):
     assert ms.s >= ms.c * (1 - 1e-12)
     assert ms.kappa_s <= 4 + 1e-9
     assert ms.kappa_c <= -4 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# sample's routes: S from the kernel series, the rest from the 1psi1 product
+
+# kappa_s = -2 (K'' K'''' - K'''^2) / K''^3 of the product in 300-digit
+# mpmath at the double rho = r**lam
+PRODUCT_KAPPA_S = [
+    (1e-15, 2 / 3, -3.9999999999999387011),
+    (1e-24, 0.9, -4.000000002009413601),
+    (1e-18, 1 / 2, 3.999999999999999872),
+    (1e-100, 0.3, -8.0000000000001213891e20),
+    (1e-300, 0.3, -8.0000000000003656087e60),
+]
+
+
+def test_sample_agrees_with_the_j_route():
+    # the J route's kappa_s, 4 - 2 J0 J2 / J1^2, is itself off by up to about
+    # 2e-11 at a few points (3 of these 200); where the routes differ by more
+    # than 1e-11, sample's kappa_s is held to 1e-12 of the mpmath product instead
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        r, lam = rng.uniform(0.05, 0.95), rng.uniform(0.02, 0.98)
+        ms = sample(r, r**lam)
+        J = j_functions_on_A_r(r, lam)
+        for q in ("c", "s", "kappa_c", "kappa_s"):
+            got, want, tol = getattr(ms, q), metric_from_j(J, q), 1e-11
+            if q == "kappa_s" and abs(got - want) > tol * abs(want):
+                want, tol = float(szego_curvature_mp(r, r**lam)), 1e-12
+            assert abs(got - want) <= tol * abs(want), (r, lam, q)
+
+
+@pytest.mark.parametrize("r, lam, want", PRODUCT_KAPPA_S)
+def test_szego_curvature_matches_mpmath_at_tiny_r(r, lam, want):
+    # the plain K-formula gives -0.0 at (1e-100, 0.3) and divides by zero at 1e-300
+    rho = r**lam
+    assert sample(r, rho).kappa_s == pytest.approx(want, rel=1e-12)
+    assert MetricField(r, "s").curvature(rho) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [1e-15, 1e-100, 1e-300])
+def test_curvatures_mirror_at_tiny_r(r):
+    # z -> r/z exchanges lambda and 1 - lambda
+    for lam in (0.02, 0.1, 0.3, 0.45, 0.49):
+        a, b = sample(r, r**lam), sample(r, r ** (1 - lam))
+        assert a.kappa_c == pytest.approx(b.kappa_c, rel=1e-12), lam
+        assert a.kappa_s == pytest.approx(b.kappa_s, rel=1e-12), lam
+
+
+def test_sample_at_the_waist_of_a_tiny_annulus():
+    # the J route cancels J2 to zero here
+    ms = sample(1e-18, 1e-9)
+    assert ms.c == pytest.approx(2.0, rel=1e-12)
+    assert ms.s == pytest.approx(5e8, rel=1e-12)
+    assert ms.kappa_s == pytest.approx(4.0, rel=1e-12)
+
+
+def test_sample_past_double_range_is_a_range_error():
+    # kappa_c is about -1/(4r) at the waist
+    with pytest.raises(RangeError, match=r"\|z\| = .* r = 1e-310"):
+        sample(1e-310, 1e-155)
+
+
+def test_sample_kernel_overshoot_is_a_convergence_error():
+    # next to the inner circle of r = 1e-300 the frame of the kernel series
+    # is off by eps / (1 - lambda), so c would exceed s, which the product
+    # gives to a few ulps
+    with pytest.raises(ConvergenceError, match="missed its tolerance"):
+        sample(1e-300, 1.001e-300)
 
 
 def test_metric_sample_validation():
