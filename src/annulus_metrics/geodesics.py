@@ -605,7 +605,7 @@ class _ClairautOrbit:
     field, good to about 1e-12 in f - c.
     """
 
-    def __init__(self, field, side, centre, f_c, coeffs, x_turn=None):
+    def __init__(self, field, side, centre, f_c, coeffs, x_turn=None, rho0=None):
         self.field = field
         self.side = side
         self.centre = centre
@@ -638,9 +638,16 @@ class _ClairautOrbit:
             # below its last bit), in the form that never divides by P_0: it
             # vanishes at a flank circle and at the U/W transition
             p0, p1 = coeffs[0], coeffs[1]
-            root = math.sqrt(2.0 * WAIST_GAP) / math.sqrt(
-                p0 + math.sqrt(p0 * p0 + 4.0 * p1 * WAIST_GAP)
-            )
+            den = p0 + math.sqrt(p0 * p0 + 4.0 * p1 * WAIST_GAP)
+            if not den > 0.0:
+                # at a flank circle P_0 = 0, and 4 P_1 WAIST_GAP underflows to 0 for tiny P_1
+                raise ConvergenceError(
+                    f"the orbit from |z0| = {rho0!r} with r = {field.r!r} turns closer to"
+                    f" the circle |z| = {math.sqrt(field.r) * math.exp(side * centre)!r} than"
+                    f" double precision resolves: P_0 = {p0!r},"
+                    f" 4 P_1 WAIST_GAP = {4.0 * p1 * WAIST_GAP!r}"
+                )
+            root = math.sqrt(2.0 * WAIST_GAP) / math.sqrt(den)
             self.x_turn = root if self.power == 2 else root * root
             self.c = f_c + WAIST_GAP
             self.ds = None
@@ -843,5 +850,5 @@ def spiral_trace(
     f_c = rho_c * field.density(rho_c)
     coeffs = _local_model(field, x_c, f_c, field.curvature(rho_c))
     side = 1.0 if rho0 > rs else -1.0
-    orbit = _ClairautOrbit(field, side, x_c, f_c, coeffs, x0 if x0 < x1 else None)
+    orbit = _ClairautOrbit(field, side, x_c, f_c, coeffs, x0 if x0 < x1 else None, rho0)
     return _clairaut_trace(orbit, z0, t_end, band)

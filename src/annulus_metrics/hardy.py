@@ -31,10 +31,11 @@ Summation conventions of the core:
     the annulus and tail_tol, so the weight-1 sum is bitwise the same in
     moment_sums, on the kernel diagonal and in the jet entry (0, 0).
 
-The geodesic field, and metrics.sample for everything but S itself,
-take log 2*pi*S(z, z) and its derivatives from a second core,
-_DiagonalProduct, Ramanujan's 1psi1 product, whose factors converge
-like r^2 at every |z|; _series stays the independent route.
+The geodesic field, metrics.higher_curvature, and metrics.sample for
+everything but S itself, take log 2*pi*S(z, z) and its derivatives
+from a second core, _DiagonalProduct, Ramanujan's 1psi1 product,
+whose factors converge like r^2 at every |z|; _series stays the
+independent route.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +66,7 @@ FIRST_PAIRS = 512
 
 HARD_CAP = 2**20
 
-#: leading terms of each row whose pairs _DiagonalProduct.szego takes in closed form
+#: leading terms of each row whose pairs _DiagonalProduct.szego and .hankel take in closed form
 LEAD_TERMS = 2
 
 
@@ -269,7 +271,9 @@ class _DiagonalProduct:
     u/(1-u)^2, +-u(1+u)/(1-u)^3 and u(1+4u+u^2)/(1-u)^4.  jet gives K^(j)
     for j in orders, but order 3 gives K''' - K'', summed termwise as
     2|u|(u or -1)/(1-u)^3 so that it stays accurate where s is nearly flat.
-    szego gives K'' and the Szego curvature, whose numerator cancels.
+    szego gives K'' and the Szego curvature, whose numerator cancels, and
+    hankel gives K, K'' and D, the 3x3 Hankel determinant of e^K over
+    e^(3K), summed so that it keeps its digits where kappa_s nears 4.
     """
 
     def __init__(self, r: float, tail_tol: float = 2.0**-60):
@@ -296,6 +300,11 @@ class _DiagonalProduct:
         d[1, 1] = ((rho - r) / rho) * ((rho + r) / rho)
         return e, u, d, y
 
+    def _log_density(self, d: np.ndarray, y: float, rho: float) -> float:
+        """K itself, from the 1 - u of every term."""
+        k = self._log_constant - float(np.add.reduce(self._signs * np.log(d), None))
+        return k + math.log(y / rho) if y > rho else k
+
     def jet(self, rho: float, orders: tuple) -> list:
         e, u, d, y = self._terms(rho)
         below = y > rho
@@ -303,8 +312,7 @@ class _DiagonalProduct:
         out = []
         for order in orders:
             if order == 0:
-                k = self._log_constant - float(np.add.reduce(self._signs * np.log(d), None))
-                out.append(k + math.log(y / rho) if below else k)
+                out.append(self._log_density(d, y, rho))
             elif order == 1:
                 side = np.add.reduce(p, 1)
                 out.append(float(side[0] - side[1]) - (1.0 if below else 0.0))
@@ -333,7 +341,49 @@ class _DiagonalProduct:
         the largest, so K''^3 (1e-360 at r = 1e-300) never underflows;
         |kappa_s| is at most about r^(-1/2), which is representable.
         """
-        e, u, d, _ = self._terms(rho)
+        g, _, _, ul, dl, el, (a0, a1, b0, b1, c0, c1), pairs = self._parts(rho)
+        alone = float((el * el * ul / dl**6).sum())
+        numerator = math.fsum(
+            (2.0 * pairs, 2.0 * alone, a0 * b1, a1 * b0, -2.0 * c0 * c1, a1 * b1, -c1 * c1)
+        )
+        k2 = a0 + a1
+        return g * k2, -2.0 * numerator / (g * k2**3)
+
+    def hankel(self, rho: float) -> tuple:
+        """K, K'' and D = 2 K''^3 + K'' K'''' - K'''^2.
+
+        D is the 3x3 Hankel determinant det(G^(i+l))_{i,l<=2} of G = e^K,
+        over e^(3K), and 4 - kappa_s = 2 D / K''^3, so kappa_s <= 4 is
+        D >= 0.  Taken from kappa_s, D would cancel where kappa_s nears 4,
+        so it is summed like the Szego numerator, a_i, b_i, c_i as there.
+        One term alone adds 4u^3/(1-u)^6 for u > 0 and exactly 0 for u < 0,
+        where e^K of its factor is a sum of two exponentials.  A pair of
+        lead terms adds its part of the numerator and 6 a_i a_j (a_i + a_j),
+        a triple adds 12 a_i a_j a_k, and these cubic parts are all
+        positive: with e1, e2, e3 the elementary symmetric sums of the lead
+        a_i they total 6 (e1 e2 - e3).  The rest is summed from products of
+        the plain sums.  In units of the g of szego, D / g^2 is the
+        quadratic part plus g times the cubic part.
+        """
+        g, y, d, ul, dl, el, (a0, a1, b0, b1, c0, c1), pairs = self._parts(rho)
+        al = (el / (dl * dl)).tolist()
+        e2 = math.fsum(map(math.prod, combinations(al, 2)))
+        e3 = math.fsum(map(math.prod, combinations(al, 3)))
+        singles = math.fsum(4.0 * x**3 for x, u in zip(al, ul.tolist()) if u > 0.0)
+        quadratic = math.fsum(
+            (2.0 * pairs, a0 * b1, a1 * b0, -2.0 * c0 * c1, a1 * b1, -c1 * c1)
+        )
+        cubic = math.fsum(
+            (singles, 6.0 * (a0 * e2 - e3), 6.0 * a0 * a0 * a1, 6.0 * a0 * a1 * a1, 2.0 * a1**3)
+        )
+        return self._log_density(d, y, rho), g * (a0 + a1), (quadratic + g * cubic) * g * g
+
+    def _parts(self, rho: float) -> tuple:
+        """What szego and hankel share, with every |u| divided by g, the power
+        of two just above the largest: g, y and 1 - u of every term; u, 1 - u
+        and |u| of the lead terms; the lead and rest sums of a, b and c; and
+        the closed-form lead pairs of the Szego numerator."""
+        e, u, d, y = self._terms(rho)
         g = math.ldexp(1.0, math.frexp(float(e.max()))[1])
         e = e / g
         a = e / (d * d)
@@ -341,9 +391,7 @@ class _DiagonalProduct:
         c[1] = -c[1]
         b = a * (1.0 + u * (4.0 + u)) / (d * d)
         lead, rest = np.s_[:, :LEAD_TERMS], np.s_[:, LEAD_TERMS:]
-        (a0, a1), (b0, b1), (c0, c1) = (
-            (float(x[lead].sum()), float(x[rest].sum())) for x in (a, b, c)
-        )
+        sums = tuple(float(x[part].sum()) for x in (a, b, c) for part in (lead, rest))
         ul, dl, el = u[lead].ravel(), d[lead].ravel(), e[lead].ravel()
         uw, both = np.multiply.outer(ul, ul), np.add.outer(ul, ul)
         row = np.repeat((0, 1), LEAD_TERMS)
@@ -354,12 +402,7 @@ class _DiagonalProduct:
         )
         w = el / dl**4
         pairs = float(np.triu(np.multiply.outer(w, w) * m, 1).sum())
-        alone = float((el * el * ul / dl**6).sum())
-        numerator = math.fsum(
-            (2.0 * pairs, 2.0 * alone, a0 * b1, a1 * b0, -2.0 * c0 * c1, a1 * b1, -c1 * c1)
-        )
-        k2 = a0 + a1
-        return g * k2, -2.0 * numerator / (g * k2**3)
+        return g, y, d, ul, dl, el, sums, pairs
 
 
 def moment_sums(a: GeneralAnnulus, j_max: int, tr: Truncation = Truncation()) -> MomentSums:

@@ -6,9 +6,10 @@ curvature formulas.  The Laplacian convention is Delta = 4 d dzbar, so
 the Poincare-type metrics of the unit disc come out with Gaussian
 curvature -4.
 
-Orders above 3 are rejected: order 3 is what the highest supported
-curvature determinant consumes, and capping the order keeps the
-recursive eliminations (log, sqrt, recip) fully enumerable.
+Orders above 3 are rejected: capping the order keeps the recursive
+eliminations (log, sqrt, recip) fully enumerable.  Order 3 is what
+hardy.szego_kernel_jet serves, to the tests that check the curvatures
+against the Laurent jets; metrics.higher_curvature takes no jets.
 """
 
 from __future__ import annotations

@@ -4,15 +4,19 @@ Three computation routes live here.  sample takes the kernel diagonal
 S, and the Caratheodory density c = 2*pi*S, from the Laurent series of
 hardy.szego_kernel, and the Szego density s and both curvatures from
 the derivatives of log 2*pi*S that Ramanujan's 1psi1 product gives
-(hardy._DiagonalProduct).  The J route, metric_from_j, gets the same
-four quantities from the Hardy-space maximal domain functions J0, J1,
-J2, moment sums of the Laurent series, through the ratios J1/J0 and
-J0*J2/J1^2; the sweep uses it.  The elliptic route expresses the
-Szego density through a difference of Weierstrass p-values on the
-rectangular lattice (2 log r, 2 pi i), and the capacity metric
-through the sigma2-star factor.  It shares no code below the complex
-plane with the other two, which is what makes their agreement a
-meaningful check.
+(hardy._DiagonalProduct).  higher_curvature takes c too from the
+product, and every order-N curvature from the Hankel determinants of
+e^K, K = log c, in v = log|z|^2; it sums no Laurent series.  The
+tests check it against the Laurent route, the kernel jets of
+hardy.szego_kernel_jet, on which boundary_asymptotics_probe stays.
+The J route, metric_from_j, gets the same four quantities from the
+Hardy-space maximal domain functions J0, J1, J2, moment sums of the
+Laurent series, through the ratios J1/J0 and J0*J2/J1^2; the sweep
+uses it.  The elliptic route expresses the Szego density through a
+difference of Weierstrass p-values on the rectangular lattice
+(2 log r, 2 pi i), and the capacity metric through the sigma2-star
+factor.  It shares no code below the complex plane with the other
+two, which is what makes their agreement a meaningful check.
 
 Curvature conventions: kappa = -(Delta log m)/m^2 with Delta the full
 Laplacian, so the unit disc density 1/(1-|z|^2) has kappa = -4.  The
@@ -21,13 +25,10 @@ N-th order curvature is -4 det(d^j dbar^k m)_{j,k<=N} / m^((N+1)^2).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .elliptic import (
     EllipticContext,
@@ -51,7 +52,6 @@ from .hardy import (
     szego_kernel,
     szego_kernel_jet,
 )
-from .jets import MAX_ORDER, WirtingerJet, jet_log, jet_sqrt
 
 TWO_PI = 2.0 * math.pi
 
@@ -243,16 +243,6 @@ def szego_log_density_laplacian_wp(r: float, z: complex) -> float:
     return -(val.real + ctx.c) / abs(zc) ** 2
 
 
-def _hermitian_det(coeffs: np.ndarray, side: int) -> float:
-    block = coeffs[:side, :side]
-    det = complex(np.linalg.det(block))
-    if abs(det.imag) > 1e-8 * max(1.0, abs(det.real)):
-        raise InternalConsistencyError(
-            f"curvature determinant should be real, got {det!r}"
-        )
-    return det.real
-
-
 def higher_curvature(
     r: float,
     z: complex,
@@ -262,48 +252,42 @@ def higher_curvature(
 ) -> float:
     """N-th order curvature -4 det(d^j dbar^k m)_{j,k<=N} / m^((N+1)^2).
 
-    which selects the density m: "caratheodory" (m = 2*pi*S, jets taken
-    straight from the kernel series) or "szego" (m = sqrt(d dbar log S),
-    one derivative order more expensive).  The order budget of the jet
-    layer supports N in {1, 2} for caratheodory and N = 1 for szego;
-    the szego N = 2 case would need kernel jets beyond the budget and
-    raises ShapeError.
+    which selects the density m: "caratheodory" (m = c = 2*pi*S) or
+    "szego" (m = s).  Both are radial, m = G(v) in v = log|z|^2, and the
+    Stirling matrix that turns v-derivatives into Wirtinger derivatives
+    is unit lower-triangular, so
+      det(d^j dbar^k m)_{j,k<=N} = |z|^(-N(N+1)) det(G^(i+l)(v))_{i,l<=N}.
+    For G = e^K the Hankel determinant is e^((N+1)K) times K'' at N = 1
+    and D = 2K''^3 + K''K'''' - K'''^2 at N = 2.  With K = log c, which
+    hardy._DiagonalProduct.hankel gives with K'' and D at the same cost
+    at every |z|, the Caratheodory curvatures are
+      N = 1:  kappa_c = -4 K'' / (|z| c)^2,
+      N = 2:  -4 D / (|z| c)^6 = kappa_c^3 (4 - kappa_s) / 32,
+    and the Szego N = 1 case is sample's kappa_s.  The Szego N = 2 case
+    needs K to order 6 and raises ShapeError.  RangeError where the
+    value is past double range.
     """
     zc = check_point(check_r(r), z)
     if not isinstance(N, int) or N not in (1, 2):
         raise DomainError(f"N must be 1 or 2, got {N!r}")
-    if which == "caratheodory":
-        m_jet = szego_kernel_jet(r, zc, N, tr).scaled(TWO_PI)
-    elif which == "szego":
-        if N == 2:
-            raise ShapeError(
-                "szego N=2 needs kernel jets beyond the order budget"
-            )
-        s_jet = _szego_density_jet(r, zc, N, tr)
-        m_jet = s_jet
-    else:
+    if which not in ("caratheodory", "szego"):
         raise DomainError(f"which must be caratheodory or szego, got {which!r}")
-    m0 = m_jet.at(0, 0).real
-    det = _hermitian_det(m_jet.coeffs, N + 1)
-    return -4.0 * det / m0 ** ((N + 1) ** 2)
-
-
-def _szego_density_jet(
-    r: float, z: complex, order: int, tr: Truncation
-) -> WirtingerJet:
-    """Jet of s = sqrt(d dbar log S) to the given order.
-
-    Built by shifting the log-kernel jet down one slot in each index,
-    which costs an order+1 kernel jet.
-    """
-    if order + 1 > MAX_ORDER:
-        raise ShapeError(
-            f"szego density jet of order {order} exceeds the jet budget"
+    if which == "szego" and N == 2:
+        raise ShapeError("szego N=2 needs K to order 6, past the product's order 4")
+    rho = abs(zc)
+    product = _DiagonalProduct(r, tr.tail_tol)
+    if which == "szego":
+        return product.szego(rho)[1]
+    K, k2, D = product.hankel(rho)
+    rc = rho * math.exp(K)
+    kappa = -4.0 * (k2 if N == 1 else D)
+    for _ in range(N * (N + 1)):
+        kappa /= rc
+    if not (math.isfinite(kappa) and kappa):
+        raise RangeError(
+            f"the order-{N} curvature at |z| = {rho!r} with r = {r!r} is past double range"
         )
-    k_jet = szego_kernel_jet(r, z, order + 1, tr)
-    g = jet_log(k_jet)
-    shifted = WirtingerJet(order, g.coeffs[1 : order + 2, 1 : order + 2].copy())
-    return jet_sqrt(shifted)
+    return kappa
 
 
 def boundary_asymptotics_probe(

@@ -125,25 +125,49 @@ def fd_laplacian(f, z: complex, h: float = 1e-4) -> float:
     ) / h**2
 
 
-def szego_curvature_mp(r: float, rho: float, dps: int = 40):
-    """-2 (K'' K'''' - K'''^2) / K''^3, K = log 2*pi*S(z, z) in v = log|z|^2.
+def product_log_density_mp(r: float, rho: float, dps: int = 40) -> tuple:
+    """K = log 2*pi*S(z, z) at |z| = rho, and K'', K''', K'''' in v = log|z|^2.
 
-    Ramanujan's 1psi1 product, q = r^2, t = rho^2, makes K a constant plus
-    -log(1 - x) for x = t q^k and q^(k+1)/t, and log(1 + x) for x = r t q^k
-    and r q^k/t, k >= 0.  Each term's v-derivatives are exact rationals in x,
-    with odd orders negated where x falls with v, and the terms are summed
-    until x is below the working precision.
+    Ramanujan's 1psi1 sum, q = r^2, t = rho^2, gives
+    2*pi*S = (q;q)^2 (-rt;q) (-r/t;q) / ((-r;q)^2 (t;q) (q/t;q)), so K is
+    log((q;q)^2 / (-r;q)^2) plus -log(1 - x) for x = t q^k and q^(k+1)/t,
+    and log(1 + x) for x = r t q^k and r q^k/t, k >= 0.  Each term's
+    v-derivatives are exact rationals in x, with odd orders negated where
+    x falls with v, and the terms are summed until x is below the working
+    precision.
     """
     with mpmath.workdps(dps):
         r, t = mpmath.mpf(r), mpmath.mpf(rho) ** 2
         q = r * r
-        k2 = k3 = k4 = mpmath.mpf(0)
+        k0 = k2 = k3 = k4 = mpmath.mpf(0)
         qk = mpmath.mpf(1)
         while True:
+            k0 += 2 * (mpmath.log(1 - q * qk) - mpmath.log(1 + r * qk))
             for sign, x, rises in ((1, t * qk, 1), (1, q * qk / t, -1), (-1, -r * t * qk, 1), (-1, -r * qk / t, -1)):
+                k0 -= sign * mpmath.log(1 - x)
                 k2 += sign * x / (1 - x) ** 2
                 k3 += sign * rises * x * (1 + x) / (1 - x) ** 3
                 k4 += sign * x * (1 + 4 * x + x * x) / (1 - x) ** 4
             if max(t, r / t) * qk < mpmath.mpf(10) ** -(dps + 5):
-                return -2 * (k2 * k4 - k3**2) / k2**3
+                return k0, k2, k3, k4
             qk *= q
+
+
+def szego_curvature_mp(r: float, rho: float, dps: int = 40):
+    """-2 (K'' K'''' - K'''^2) / K''^3 from product_log_density_mp."""
+    with mpmath.workdps(dps):
+        _, k2, k3, k4 = product_log_density_mp(r, rho, dps)
+        return -2 * (k2 * k4 - k3**2) / k2**3
+
+
+def caratheodory_curvatures_mp(r: float, rho: float, dps: int = 60) -> tuple:
+    """Orders 1 and 2 of the Caratheodory curvature, from product_log_density_mp.
+
+    For a radial density e^K, det(d^j dbar^k e^K)_{j,k<=N} is |z|^(-N(N+1))
+    times the Hankel determinant of the v-derivatives of e^K: e^(2K) K'' at
+    N = 1 and e^(3K) (2K''^3 + K''K'''' - K'''^2) at N = 2.
+    """
+    with mpmath.workdps(dps):
+        k0, k2, k3, k4 = product_log_density_mp(r, rho, dps)
+        rc = mpmath.mpf(rho) * mpmath.exp(k0)
+        return -4 * k2 / rc**2, -4 * (2 * k2**3 + k2 * k4 - k3**2) / rc**6

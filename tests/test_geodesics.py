@@ -646,6 +646,13 @@ def test_spiral_rejects_degenerate_launches():
         spiral_trace(0.1, "s", 0.5, 0.0)
 
 
+def test_spiral_turn_below_double_precision_is_a_convergence_error():
+    # at r = 1e-100 the turn offset's 4 P_1 WAIST_GAP underflows to 0, which
+    # used to divide by zero; the error comes before any panel is summed
+    with pytest.raises(ConvergenceError, match=r"\|z0\| = 0\.5 with r = 1e-100 "):
+        spiral_trace(1e-100, "s", 0.5, 40.0)
+
+
 # ---------------------------------------------------------------------------
 # Clairaut quadrature at unstable waists
 

@@ -16,8 +16,9 @@ from annulus_metrics.errors import (
     RangeError,
     ShapeError,
 )
+from annulus_metrics import hardy, metrics
 from annulus_metrics.geodesics import MetricField
-from annulus_metrics.hardy import JOnAr, j_functions_on_A_r
+from annulus_metrics.hardy import JOnAr, j_functions_on_A_r, szego_kernel_jet
 from annulus_metrics.metrics import (
     MetricSample,
     boundary_asymptotics_probe,
@@ -30,7 +31,7 @@ from annulus_metrics.metrics import (
     szego_metric_wp,
 )
 
-from conftest import mixed_wirtinger_fd, szego_curvature_mp
+from conftest import caratheodory_curvatures_mp, mixed_wirtinger_fd, szego_curvature_mp
 
 PI = math.pi
 
@@ -375,6 +376,101 @@ def test_higher_curvature_contract_errors():
         higher_curvature(0.5, 0.7, 1, "bergman")
     with pytest.raises(DomainError):
         higher_curvature(0.5, 1.2, 1, "szego")
+
+
+def _circle_points(r, gap):
+    # the distance gap (1 - r) from each circle, and the plain gap
+    return (1 - gap * (1 - r), r + gap * (1 - r), 1 - gap, r * (1 + gap))
+
+
+HC_GRID = [
+    (r, rho)
+    for r in (0.95, 0.5, 0.2, 1e-3, 1e-8, 1e-12, 1e-15)
+    for rho in [r**lam for lam in (0.1, 0.3, 0.45, 0.5, 0.55, 0.7, 0.9)]
+    + list(_circle_points(r, 1e-9) if r >= 1e-3 else ())
+]
+
+
+def test_higher_curvature_szego_n1_is_sample_kappa_s():
+    for r, z in ((0.5, 0.7), (0.3, 0.45 * cmath.exp(1.2j)), (1e-15, 1e-7), (0.9, 0.95)):
+        assert higher_curvature(r, z, 1, "szego") == sample(r, z).kappa_s
+
+
+def test_higher_curvature_caratheodory_n1_matches_sample():
+    # c comes from the product here and from the Laurent series in sample
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        r, lam = rng.uniform(0.02, 0.95), rng.uniform(0.02, 0.98)
+        z = r**lam * cmath.exp(1j * rng.uniform(-PI, PI))
+        want = sample(r, z).kappa_c
+        assert abs(higher_curvature(r, z, 1, "caratheodory") - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("r, rho", HC_GRID)
+def test_higher_curvature_matches_mpmath(r, rho):
+    # at the same double rho: near a circle K'' is as sensitive as 1/(1 - rho)
+    want1, want2 = caratheodory_curvatures_mp(r, rho)
+    got1 = higher_curvature(r, rho, 1, "caratheodory")
+    got2 = higher_curvature(r, rho, 2, "caratheodory")
+    assert abs(got1 - want1) <= 1e-11 * abs(want1)
+    assert abs(got2 - want2) <= 1e-11 * abs(want2)
+
+
+def test_higher_curvature_is_the_laurent_jet_determinant():
+    # the Laurent route: -4 det(d^j dbar^k c) / c^9 from 2 pi times the kernel jet
+    for r, z in ((0.5, 0.7), (0.3, 0.45 * cmath.exp(1.2j)), (0.05, 0.2 * cmath.exp(-2.5j))):
+        jet = szego_kernel_jet(r, z, 2).coeffs * (2 * PI)
+        c = jet[0, 0].real
+        for N in (1, 2):
+            want = -4.0 * np.linalg.det(jet[: N + 1, : N + 1]).real / c ** ((N + 1) ** 2)
+            assert higher_curvature(r, z, N, "caratheodory") == pytest.approx(want, rel=1e-9)
+
+
+def test_order_two_curvature_is_kappa_c_cubed_times_the_szego_gap():
+    # -4 D / (|z| c)^6 = kappa_c^3 (4 - kappa_s) / 32, taken where 4 - kappa_s does not cancel
+    for r, rho in ((0.5, 0.7), (0.2, 0.3), (1e-3, 0.1), (0.9, 0.93)):
+        kc = higher_curvature(r, rho, 1, "caratheodory")
+        ks = higher_curvature(r, rho, 1, "szego")
+        want = kc**3 * (4.0 - ks) / 32.0
+        assert higher_curvature(r, rho, 2, "caratheodory") == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("r", [0.5, 1e-3, 1e-8, 1e-15])
+def test_higher_curvature_mirrors_lambda(r):
+    # z -> r/z exchanges lambda and 1 - lambda
+    for lam in (0.02, 0.1, 0.3, 0.45, 0.49):
+        for N in (1, 2):
+            a = higher_curvature(r, r**lam, N, "caratheodory")
+            b = higher_curvature(r, r ** (1 - lam), N, "caratheodory")
+            assert a == pytest.approx(b, rel=1e-12), (lam, N)
+
+
+@pytest.mark.parametrize("r", [0.05, 0.5, 0.95])
+def test_higher_curvature_at_1e_9_from_a_circle(r):
+    # the Laurent jets raise ConvergenceError here; the product does not
+    for rho in _circle_points(r, 1e-9):
+        assert higher_curvature(r, rho, 1, "caratheodory") == pytest.approx(-4.0, abs=1e-6)
+        assert higher_curvature(r, rho, 2, "caratheodory") == pytest.approx(-16.0, abs=1e-6)
+        assert higher_curvature(r, rho, 1, "szego") == pytest.approx(-4.0, abs=1e-6)
+
+
+def test_higher_curvature_sums_no_laurent_series(monkeypatch):
+    # the same cost at every |z|: no series whose pair count grows near a circle
+    def refuse(*args, **kwargs):
+        raise AssertionError("higher_curvature summed a Laurent series")
+
+    monkeypatch.setattr(hardy, "_series", refuse)
+    monkeypatch.setattr(metrics, "szego_kernel_jet", refuse)
+    for r in (0.5, 1e-3):
+        for rho in (0.5 * (1 + r), *_circle_points(r, 1e-9)):
+            for N, which in ((1, "caratheodory"), (2, "caratheodory"), (1, "szego")):
+                assert math.isfinite(higher_curvature(r, rho, N, which))
+
+
+def test_higher_curvature_past_double_range_is_a_range_error():
+    # -4 D / (|z| c)^6 is about -6e398 at the waist of r = 1e-200
+    with pytest.raises(RangeError, match=r"\|z\| = .* r = 1e-200"):
+        higher_curvature(1e-200, 1e-100, 2, "caratheodory")
 
 
 # ---------------------------------------------------------------------------
