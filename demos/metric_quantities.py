@@ -7,7 +7,6 @@ shape of each density between the two boundary circles is visible.
 
 import math
 
-from annulus_metrics.hardy import szego_kernel
 from annulus_metrics.metrics import sample
 
 TWO_PI = 2.0 * math.pi
@@ -18,10 +17,9 @@ def main():
     z = 0.55 + 0.2j
 
     m = sample(r, z)
-    S = szego_kernel(r, z, z).real
     print(f"annulus r = {r}, point z = {z}")
-    print(f"  diagonal kernel  S(z, z) = {S:.12f}")
-    print(f"  capacity density        c = {m.c:.12f}   (equals 2 pi S = {TWO_PI * S:.12f})")
+    print(f"  diagonal kernel  S(z, z) = {m.S:.12f}")
+    print(f"  capacity density        c = {m.c:.12f}   (equals 2 pi S = {TWO_PI * m.S:.12f})")
     print(f"  szego density           s = {m.s:.12f}   (never below c)")
     print(f"  capacity curvature  kappa_c = {m.kappa_c:.10f}   (<= -4 everywhere)")
     print(f"  szego curvature     kappa_s = {m.kappa_s:.10f}   (<= +4 everywhere)")

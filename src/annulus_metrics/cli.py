@@ -44,7 +44,7 @@ from .errors import (
     check_point,
 )
 from .geodesics import STEP_TOL, GeodesicState, MetricField, find_closed_geodesic, integrate
-from .hardy import FIRST_PAIRS, Truncation, szego_kernel
+from .hardy import FIRST_PAIRS, Truncation
 from .metrics import sample
 from .selftest import FULL_BUDGET, QUICK_BUDGET, run_all
 from .variation import (
@@ -137,7 +137,6 @@ def cmd_eval(args) -> int:
     z = parse_complex(args.z)
     tr = Truncation(args.tail_tol)
     m = sample(r, z, tr)
-    kernel = szego_kernel(r, z, z, tr).real
     header = (
         "r",
         "re_z",
@@ -149,7 +148,7 @@ def cmd_eval(args) -> int:
         "kappa_c",
         "kappa_s",
     )
-    row = (r, z.real, z.imag, kernel, TWO_PI * kernel, m.c, m.s, m.kappa_c, m.kappa_s)
+    row = (r, z.real, z.imag, m.S, TWO_PI * m.S, m.c, m.s, m.kappa_c, m.kappa_s)
     meta = [
         f"command=eval r={_fmt(r)} z={args.z}",
         f"tail_tol={_fmt(tr.tail_tol)} n_max={FIRST_PAIRS}",
@@ -188,14 +187,8 @@ def cmd_sweep(args) -> int:
                 note += f" value={_fmt(verdict.value)}"
             meta.append(note)
 
-    header = ("lambda", "r") + quantities + ("n_used", "tail_bound", "error")
-    out_rows = []
-    for row in rows:
-        out_rows.append(
-            (row.lam, row.r)
-            + tuple(row.values)
-            + (row.n_used, row.tail_bound, row.error)
-        )
+    header = ("lambda", "r") + quantities + ("error",)
+    out_rows = [(row.lam, row.r) + row.values + (row.error,) for row in rows]
     _emit(args, header, out_rows, meta)
     if all(row.error is not None for row in rows):
         print("sweep failed: every row recorded an error", file=sys.stderr)

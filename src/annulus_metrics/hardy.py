@@ -32,10 +32,13 @@ Summation conventions of the core:
     moment_sums, on the kernel diagonal and in the jet entry (0, 0).
 
 The geodesic field, metrics.higher_curvature, and metrics.sample for
-everything but S itself, take log 2*pi*S(z, z) and its derivatives
-from a second core, _DiagonalProduct, Ramanujan's 1psi1 product,
-whose factors converge like r^2 at every |z|; _series stays the
-independent route.
+everything but S itself, and with sample the sweep, take
+log 2*pi*S(z, z) and its derivatives from a second core,
+_DiagonalProduct, Ramanujan's 1psi1 product, whose factors converge
+like r^2 at every |z|; its rows stop at HARD_CAP terms too, which
+admits r up to about 0.99996.  _series stays the independent route:
+the J-functions on A_r serve selftest and the tests as the check of
+sample.
 """
 
 from __future__ import annotations
@@ -266,7 +269,8 @@ class _DiagonalProduct:
     is far below K'' > sqrt(r)/4.  j = 0 holds 1 - t = (1 - rho)(1 + rho) and
     1 - q/t = ((rho - r)/rho)((rho + r)/rho); j = -1 holds 1 + r/t, written
     (r/t)(1 + t/r) in row 0 below the waist; j <= 2N, r^(2N+1) <= 2^-60,
-    or <= tail_tol where that is tighter.
+    or <= tail_tol where that is tighter; ConvergenceError once a row
+    would pass HARD_CAP terms, before anything is allocated.
     Per term, with +- for rows 0 and 1, the v-derivatives are +-u/(1-u),
     u/(1-u)^2, +-u(1+u)/(1-u)^3 and u(1+4u+u^2)/(1-u)^4.  jet gives K^(j)
     for j in orders, but order 3 gives K''' - K'', summed termwise as
@@ -281,6 +285,11 @@ class _DiagonalProduct:
         log_r = math.log(r)
         digits = max(60.0 * math.log(2.0), -math.log(tail_tol))
         n = math.ceil((digits - log_r) / (-2.0 * log_r))
+        if 2 * n + 2 > HARD_CAP:
+            raise ConvergenceError(
+                f"the 1psi1 product at r = {r!r} needs {2 * n + 2} terms per row to meet"
+                f" tail_tol = {tail_tol!r}, past the cap of {HARD_CAP}"
+            )
         j = np.arange(-1.0, 2 * n + 1)
         self._powers = np.power(r, np.maximum(j, 0.0))
         self._powers[0] = 0.0  # the j = -1 slot is filled per point
@@ -477,12 +486,7 @@ def j_functions_at_one(a: GeneralAnnulus, tr: Truncation = Truncation()) -> JAtO
     lower-order vanishing conditions, which reduces to the closed 2x2
     solve for (gamma, delta).
     """
-    return _j_at_one(moment_sums(a, 4, tr))
-
-
-def _j_at_one(ms: MomentSums) -> JAtOne:
-    a = ms.annulus
-    s0, s1, s2, s3, s4 = ms.s
+    s0, s1, s2, s3, s4 = moment_sums(a, 4, tr).s
     if s0 <= 0:
         raise InternalConsistencyError(
             f"s0 must be positive, got {s0} on the annulus ({a.r_in!r}, {a.r_out!r})"
@@ -515,21 +519,17 @@ def _j_at_one(ms: MomentSums) -> JAtOne:
     return JAtOne(j0, j1, j2, ExtremalCoefficients(beta, gamma, delta, gap))
 
 
-def moment_sums_on_A_r(r: float, lam: float, tr: Truncation = Truncation()) -> MomentSums:
-    """s_0..s_4 of the annulus {r < |.| < 1} rescaled so that r^lambda sits at 1."""
+def j_functions_on_A_r(r: float, lam: float, tr: Truncation = Truncation()) -> JOnAr:
+    """J0, J1, J2 for the annulus {r < |.| < 1} at the point r^lambda.
+
+    Uses the scaling map w = z/r^lambda, which sends A_r to the annulus
+    (r^(1-lambda), r^(-lambda)) containing 1 (see _frame); a j-th
+    derivative picks up r^(-(2j+1) lambda) on the way back.
+    """
     check_r(r)
     check_lambda(lam)
-    return moment_sums(_frame(r, lam, f"|z| = r^lambda = {r ** lam!r}")[0], 4, tr)
-
-
-def j_functions_from_sums(r: float, lam: float, ms: MomentSums) -> JOnAr:
-    """J0, J1, J2 at r^lambda from the moment sums of moment_sums_on_A_r.
-
-    A j-th derivative picks up r^(-(2j+1) lambda) on the way back from
-    the rescaled annulus.
-    """
-    at_one = _j_at_one(ms)
-    log_unscale = _frame(r, lam, f"|z| = r^lambda = {r ** lam!r}")[1]
+    frame, log_unscale = _frame(r, lam, f"|z| = r^lambda = {r ** lam!r}")
+    at_one = j_functions_at_one(frame, tr)
     out = []
     for j, val in enumerate((at_one.j0, at_one.j1, at_one.j2)):
         log_scale = (2 * j + 1) * log_unscale
@@ -540,15 +540,6 @@ def j_functions_from_sums(r: float, lam: float, ms: MomentSums) -> JOnAr:
             )
         out.append(val * math.exp(log_scale))
     return JOnAr(*out)
-
-
-def j_functions_on_A_r(r: float, lam: float, tr: Truncation = Truncation()) -> JOnAr:
-    """J0, J1, J2 for the annulus {r < |.| < 1} at the point r^lambda.
-
-    Uses the scaling map w = z/r^lambda, which sends A_r to the annulus
-    (r^(1-lambda), r^(-lambda)) containing 1 (see _frame).
-    """
-    return j_functions_from_sums(r, lam, moment_sums_on_A_r(r, lam, tr))
 
 
 def extremal_function_value(

@@ -11,8 +11,9 @@ tests check it against the Laurent route, the kernel jets of
 hardy.szego_kernel_jet, on which boundary_asymptotics_probe stays.
 The J route, metric_from_j, gets the same four quantities from the
 Hardy-space maximal domain functions J0, J1, J2, moment sums of the
-Laurent series, through the ratios J1/J0 and J0*J2/J1^2; the sweep
-uses it.  The elliptic route expresses the Szego density through a
+Laurent series, through the ratios J1/J0 and J0*J2/J1^2; selftest
+and the tests use it as the independent check of sample, which the
+sweep reads.  The elliptic route expresses the Szego density through a
 difference of Weierstrass p-values on the rectangular lattice
 (2 log r, 2 pi i), and the capacity metric through the sigma2-star
 factor.  It shares no code below the complex plane with the other

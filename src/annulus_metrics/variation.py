@@ -3,10 +3,13 @@
 The interior point is parametrized as |z| = r^lambda, and the interest
 is in the r -> 0 trend of the metric quantities: some columns settle on
 finite constants, others blow up like negative powers of r.  The sweep
-produces rows of values with convergence diagnostics, the asymptotic
-N-functions give closed-form leading terms to compare against, and the
-classifier turns a column into {finite, +inf, -inf, undetermined}
-without ever guessing on noisy data.
+takes each cell's c, s, kappa_c, kappa_s and s/c from one
+metrics.sample at r^lambda, so the curvatures at lambda and 1 - lambda,
+which the inversion z -> r/conj(z) swaps, agree to rounding; selftest
+and the tests keep the J route as the independent check.  The
+asymptotic N-functions give closed-form leading terms to compare
+against, and the classifier turns a column into {finite, +inf, -inf,
+undetermined} without ever guessing on noisy data.
 """
 
 from __future__ import annotations
@@ -16,13 +19,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConvergenceError, DomainError, RangeError, check_lambda, check_r
-from .hardy import (
-    JOnAr,
-    Truncation,
-    j_functions_from_sums,
-    moment_sums_on_A_r,
-)
-from .metrics import metric_from_j
+from .hardy import Truncation
+from .metrics import sample
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,19 +84,17 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (r, lambda) cell: quantity values plus summation diagnostics.
+    """One (r, lambda) cell: quantity values, or the error that stopped them.
 
     values is parallel to the SweepSpec's quantities tuple.  A recorded
-    error string marks the divergent-overflow cells; their values are
-    None and the row is still emitted.
+    error string marks the cells past double range or within rounding
+    of a circle; their values are None and the row is still emitted.
     """
 
     r: float
     lam: float
     quantities: tuple
     values: tuple
-    n_used: Optional[int]
-    tail_bound: Optional[float]
     error: Optional[str] = None
 
     def value(self, quantity: str) -> Optional[float]:
@@ -139,35 +135,25 @@ def asymptotic_N(r: float, lam: float, j: int) -> float:
     return (top + mid) / (2.0 * math.pi**3)
 
 
-def _row_values(r: float, lam: float, quantities: Sequence[str], J: JOnAr):
-    out = []
-    for q in quantities:
-        if q in ("c", "s", "kappa_c", "kappa_s"):
-            out.append(metric_from_j(J, q))
-        elif q == "ratio_s_over_c":
-            out.append(metric_from_j(J, "s") / metric_from_j(J, "c"))
-        else:
-            out.append(asymptotic_N(r, lam, int(q[1])))
-    return tuple(out)
-
-
 def _build_row(r: float, lam: float, quantities: tuple, tr: Truncation) -> SweepRow:
-    n_used = tail = None
+    rho = r**lam
     try:
-        ms = moment_sums_on_A_r(r, lam, tr)
-        n_used, tail = ms.n_used, ms.tail_bound
-        values = _row_values(r, lam, quantities, j_functions_from_sums(r, lam, ms))
-        return SweepRow(r, lam, quantities, values, n_used, tail)
+        if not r < rho < 1.0:
+            raise ConvergenceError(
+                f"|z| = r^lambda = {rho!r} is within rounding of a boundary circle"
+                f" of A_r with r = {r!r}, lambda = {lam!r}"
+            )
+        m = sample(r, rho, tr)
     except (RangeError, ConvergenceError) as exc:
         return SweepRow(
-            r,
-            lam,
-            quantities,
-            (None,) * len(quantities),
-            n_used,
-            tail,
-            error=f"{type(exc).__name__}: {exc}",
+            r, lam, quantities, (None,) * len(quantities), f"{type(exc).__name__}: {exc}"
         )
+    metric = {"c": m.c, "s": m.s, "kappa_c": m.kappa_c, "kappa_s": m.kappa_s}
+    metric["ratio_s_over_c"] = m.s / m.c
+    values = tuple(
+        metric[q] if q in metric else asymptotic_N(r, lam, int(q[1])) for q in quantities
+    )
+    return SweepRow(r, lam, quantities, values)
 
 
 def run_sweep(
@@ -177,9 +163,11 @@ def run_sweep(
     given (decreasing) r order; range and convergence failures are
     recorded per row instead of aborting the sweep.
 
-    parallelism must be a nonnegative integer but no longer changes
-    anything: rows run serially, since the summation holds the
-    interpreter lock and worker threads only made the sweep slower.
+    Each cell is one metrics.sample call at r^lambda.  parallelism must
+    be a nonnegative integer but changes nothing: rows run serially,
+    since the evaluation holds the interpreter lock and worker threads
+    only made the sweep slower.  The keyword stays because the
+    benchmark's traced sweep passes parallelism=2.
     """
     if not isinstance(parallelism, int) or parallelism < 0:
         raise DomainError(f"parallelism must be a nonnegative integer, got {parallelism!r}")

@@ -213,8 +213,9 @@ def test_sweep_classification_lines_match_limit_table(capsys):
     assert "lambda=0.5 s: +inf" in text
     assert "lambda=0.5 kappa_c: -inf" in text
     assert "lambda=0.25 kappa_s: -inf" in text
-    # finite cells carry the settled value
-    assert "lambda=0.5 c: finite value=2" in text
+    # finite cells carry the settled value, here the limit 2 to rounding
+    (c_half,) = [m for m in meta if "lambda=0.5 c: finite value=" in m]
+    assert float(c_half.split("value=")[1]) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_sweep_row_order_lambda_then_descending_r(capsys):
@@ -341,6 +342,12 @@ def test_geodesic_launch_outside_annulus_exit_2(capsys):
     )
     assert code == 2
     assert "r < |z0| < 1" in err
+
+
+def test_geodesic_past_the_product_cap_exit_3(capsys):
+    code, _, err = run_cli(capsys, "geodesic", "--r", "0.999999", "--metric", "s", "--closed")
+    assert code == 3
+    assert "convergence error" in err and "r = 0.999999" in err
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ from annulus_metrics.hardy import (
     szego_kernel_jet,
     unit_annulus,
 )
-from annulus_metrics.metrics import sample
+from annulus_metrics.geodesics import MetricField
+from annulus_metrics.metrics import higher_curvature, sample
 
 from conftest import mixed_wirtinger_fd
 
@@ -375,6 +376,31 @@ def test_diagonal_product_fourth_derivative():
     for r, rho in ((0.1, 0.4), (0.043, math.sqrt(0.043)), (1e-8, 1e-5)):
         (k4,) = hardy._DiagonalProduct(r).jet(rho, (4,))
         assert k4 == pytest.approx(float(kernel_log_jet_mp(r, rho, 4)[4]), rel=1e-13)
+
+
+def test_diagonal_product_refuses_rows_past_the_cap():
+    # 1 - r = 1e-6 needs about 4.2e7 terms per row; the product raises
+    # before it allocates, for every caller
+    r = 0.999999
+    with pytest.raises(ConvergenceError, match=r"r = 0\.999999 .* tail_tol = 1e-12, past the cap"):
+        hardy._DiagonalProduct(r, Truncation().tail_tol)
+    for call in (
+        lambda: MetricField(r, "s"),
+        lambda: higher_curvature(r, r**0.5, 1, "szego"),
+        lambda: higher_curvature(r, r**0.5, 2, "caratheodory"),
+    ):
+        with pytest.raises(ConvergenceError, match=f"cap of {HARD_CAP}"):
+            call()
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5])
+def test_diagonal_product_szego_curvature_at_the_last_admitted_r(lam):
+    # r = 0.99996 fills 99% of HARD_CAP per row; mid-annulus kappa_s is -4
+    # up to e^(-pi^2/|log r|), and the product's error, which grows like
+    # (1 - r)^-2, is still under 1e-8 there
+    r = 0.99996
+    assert len(hardy._DiagonalProduct(r)._powers) > 0.99 * HARD_CAP
+    assert higher_curvature(r, r**lam, 1, "szego") == pytest.approx(-4.0, rel=1e-8)
 
 
 def test_j_function_errors_name_the_annulus(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from annulus_metrics import hardy
 from annulus_metrics.errors import DomainError
-from annulus_metrics.hardy import Truncation, j_functions_on_A_r, moment_sums_on_A_r
+from annulus_metrics.hardy import Truncation, j_functions_on_A_r
 from annulus_metrics.metrics import sample
 from annulus_metrics.variation import (
     Classification,
@@ -122,12 +122,7 @@ def test_run_sweep_order_and_values():
     ]
     for row in rows:
         ms = sample(row.r, row.r**row.lam)
-        assert row.value("c") == pytest.approx(ms.c, rel=1e-10)
-        assert row.value("s") == pytest.approx(ms.s, rel=1e-10)
-        assert row.value("kappa_c") == pytest.approx(ms.kappa_c, rel=1e-10)
-        assert row.value("kappa_s") == pytest.approx(ms.kappa_s, rel=1e-10)
-        assert row.n_used >= 1
-        assert row.tail_bound is not None
+        assert row.values == (ms.c, ms.s, ms.kappa_c, ms.kappa_s)
         assert row.error is None
 
 
@@ -143,26 +138,25 @@ def test_run_sweep_parallel_deterministic():
         run_sweep(spec, parallelism=-1)
 
 
-def test_run_sweep_sums_each_row_once(monkeypatch):
-    calls = []
-    real = hardy.moment_sums
+def test_run_sweep_takes_every_metric_value_from_sample(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep sums moments or forms J")
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(hardy, "moment_sums", counted)
-    spec = SweepSpec((1e-2, 1e-3), (0.3, 0.5, 0.7), ("c", "kappa_s"))
-    rows = run_sweep(spec)
-    assert len(calls) == len(rows) == 6
+    monkeypatch.setattr(hardy, "moment_sums", refuse)
+    monkeypatch.setattr(hardy, "j_functions_on_A_r", refuse)
+    quantities = ("c", "s", "kappa_c", "kappa_s", "ratio_s_over_c", "N1")
+    rows = run_sweep(SweepSpec((1e-2, 1e-8, 1e-15), (0.3, 0.5, 2 / 3), quantities))
+    assert len(rows) == 9
     for row in rows:
-        ms = moment_sums_on_A_r(row.r, row.lam)
-        assert (row.n_used, row.tail_bound) == (ms.n_used, ms.tail_bound)
-        assert row.value("c") == 2 * PI * j_functions_on_A_r(row.r, row.lam).j0
+        m = sample(row.r, row.r**row.lam)
+        assert row.error is None
+        assert row.values == (
+            m.c, m.s, m.kappa_c, m.kappa_s, m.s / m.c, asymptotic_N(row.r, row.lam, 1)
+        )
 
 
 def test_run_sweep_records_errors_per_row():
-    spec = SweepSpec((0.5, 1e-250), (0.9,), ("c", "s"))
+    spec = SweepSpec((0.5, 1e-310), (0.5,), ("c", "s"))
     rows = run_sweep(spec)
     assert rows[0].error is None
     assert rows[1].error is not None
@@ -170,8 +164,18 @@ def test_run_sweep_records_errors_per_row():
     assert rows[1].values == (None, None)
 
 
+def test_run_sweep_records_a_point_rounded_onto_a_circle():
+    # 0.5^1e-17 rounds to 1 and 0.5^(1 - 2^-53) to 0.5, where sample
+    # would raise DomainError
+    rows = run_sweep(SweepSpec((0.5,), (1e-17, 1 - 2**-53), ("c", "N0")))
+    for row in rows:
+        assert row.error.startswith("ConvergenceError")
+        assert f"lambda = {row.lam!r}" in row.error
+        assert row.values == (None, None)
+
+
 def test_row_value_unknown_quantity():
-    row = SweepRow(0.1, 0.5, ("c",), (2.0,), 512, 0.0)
+    row = SweepRow(0.1, 0.5, ("c",), (2.0,))
     assert row.value("c") == 2.0
     with pytest.raises(DomainError):
         row.value("s")
@@ -183,7 +187,7 @@ def test_row_value_unknown_quantity():
 
 def _rows(rs, vals, lam=0.5):
     return [
-        SweepRow(r, lam, ("q",), (v,), 512, 0.0) for r, v in zip(rs, vals)
+        SweepRow(r, lam, ("q",), (v,)) for r, v in zip(rs, vals)
     ]
 
 
@@ -234,7 +238,7 @@ def test_classifier_preconditions():
     with pytest.raises(DomainError):
         limit_classifier(_rows((1e-2, 5e-3, 2e-3, 1e-3), [1, 1, 1, 1]), "q")
     rows = _rows(RS, [1, 1, 1, 1])
-    rows[-1] = SweepRow(RS[-1], 0.7, ("q",), (1.0,), 512, 0.0)
+    rows[-1] = SweepRow(RS[-1], 0.7, ("q",), (1.0,))
     with pytest.raises(DomainError):
         limit_classifier(rows, "q")
     dup = _rows((1e-2, 1e-3, 1e-3, 1e-5), [1, 1, 1, 1])
@@ -294,12 +298,14 @@ def test_ratio_s_over_c_divergence():
 
 
 def test_kappa_columns_lambda_symmetric():
-    for lam in (0.3, 0.42):
-        a = run_sweep(SweepSpec((1e-2, 1e-3), (lam,), ("kappa_c", "kappa_s")))
-        b = run_sweep(SweepSpec((1e-2, 1e-3), (1 - lam,), ("kappa_c", "kappa_s")))
+    # z -> r/conj(z) maps lambda to 1 - lambda and keeps both curvatures
+    rs = (1e-2, 1e-3, 1e-8, 1e-15)
+    for lam in (0.3, 0.42, 1 / 3):
+        a = run_sweep(SweepSpec(rs, (lam,), ("kappa_c", "kappa_s")))
+        b = run_sweep(SweepSpec(rs, (1 - lam,), ("kappa_c", "kappa_s")))
         for ra, rb in zip(a, b):
-            assert ra.value("kappa_c") == pytest.approx(rb.value("kappa_c"), rel=1e-8)
-            assert ra.value("kappa_s") == pytest.approx(rb.value("kappa_s"), rel=1e-8)
+            assert ra.value("kappa_c") == pytest.approx(rb.value("kappa_c"), rel=1e-12)
+            assert ra.value("kappa_s") == pytest.approx(rb.value("kappa_s"), rel=1e-12)
 
 
 def test_positive_curvature_witness():
