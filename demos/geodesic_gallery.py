@@ -5,7 +5,9 @@ a geodesic exactly where rho times the density is critical.  Above a
 small threshold radius that happens once, at the unstable waist
 sqrt(r); below it the profile develops two flanking minima and the
 symmetric circle turns into a saddle.  This script shows both regimes,
-then launches traces and watches the two first integrals hold.
+then launches traces and watches the two first integrals hold.  Every
+trace is a Clairaut quadrature: the launch fixes the orbit's speed and
+Clairaut constant, and the orbit is summed in the radius.
 """
 
 import math
@@ -39,13 +41,15 @@ def main():
     rho = math.sqrt(r)
     field = MetricField(r, "s")
     v0 = 1j / field.density(rho)
-    trace = integrate(r, "s", GeodesicState(rho, v0), 3 * 4.5254, step_tol=1e-11)
+    loop = find_closed_geodesic(r, "s").length
+    trace = integrate(r, "s", GeodesicState(rho, v0), 3 * loop, step_tol=1e-11)
     print(f"three loops around the waist circle at r = {r}:")
     print(f"  samples {len(trace)}, winding count {trace.winding_count}")
     print(f"  metric speed drift  {trace.energy_drift:.2e}")
     print(f"  angular momentum drift  {trace.angular_drift:.2e}")
     print(f"  return distance to start  {abs(trace.positions[-1] - trace.positions[0]):.2e}")
-    print("  (the waist is unstable: each loop multiplies launch error by ~1100)")
+    print("  (the waist is unstable, each loop multiplying an offset by ~1100, but")
+    print("   a tangential launch on it is the circle itself, with nothing to grow)")
     print()
 
     print("a non-closing spiral in the stable small-r regime:")
@@ -71,11 +75,11 @@ def main():
     print(f"  windings {tr.winding_count}, radius range [{report.rho_min:.6f}, {report.rho_max:.6f}]")
     print(f"  conserved-quantity drifts {tr.energy_drift:.2e}, {tr.angular_drift:.2e}")
     launch = GeodesicState(tr.positions[0], tr.velocities[0])
-    shot = integrate(0.1, "s", launch, 5 * 4.5254, project=True)
-    print(f"  the integrator from the same launch is at radius {abs(shot.positions[-1]):.6f}")
-    print(f"  after 5 loops, the quadrature trace at {abs(tr.positions[-1]):.6f} after {tr.winding_count}")
+    shot = integrate(0.1, "s", launch, 5 * loop)
+    print(f"  integrate from the same launch state is at radius {abs(shot.positions[-1]):.6f}")
+    print(f"  after 5 loops, the spiral at {abs(tr.positions[-1]):.6f} after {tr.winding_count}")
     print("  (separatrix distance grows e^7 per winding and the launch state holds")
-    print("   the gap to the waist level only to 1e-16; quadrature keeps the gap")
+    print("   the gap to the waist level only to 1e-16; spiral_trace keeps the gap")
     print("   as its own number)")
 
 

@@ -229,7 +229,6 @@ def cmd_geodesic(args) -> int:
         GeodesicState(z0, v0),
         args.t_end,
         step_tol=args.step_tol,
-        project=args.project,
     )
     header = ("t", "re_z", "im_z", "abs_z", "speed", "winding")
     winding = _winding_column(trace.thetas)
@@ -241,7 +240,7 @@ def cmd_geodesic(args) -> int:
     meta = [
         f"command=geodesic trace r={_fmt(r)} metric={args.metric} z0={args.z0}"
         f" v0={args.v0 if args.v0 is not None else 'auto'}",
-        f"t_end={_fmt(args.t_end)} step_tol={_fmt(args.step_tol)} project={_fmt(args.project)}",
+        f"t_end={_fmt(args.t_end)} step_tol={_fmt(args.step_tol)}",
         f"samples={len(trace)} winding_count={trace.winding_count}"
         f" length={_fmt(trace.length)} escaped={_fmt(trace.escaped)}",
         f"energy_drift={_fmt(trace.energy_drift)} angular_drift={_fmt(trace.angular_drift)}",
@@ -409,11 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=STEP_TOL,
         help=f"step error tolerance in (0, 1e-3]; default {STEP_TOL:g}",
-    )
-    p_geo.add_argument(
-        "--project",
-        action="store_true",
-        help="re-project each step onto the speed and angular momentum level set",
     )
     _add_output_flags(p_geo)
     p_geo.set_defaults(func=cmd_geodesic)

@@ -5,13 +5,13 @@ integral of m |dz|.  Affinely parametrized geodesics solve
 
     sigma'' = -(d/dz log m^2)(sigma) * (sigma')^2,
 
-so the only field data the integrator needs is m and the logarithmic
-z-derivative of m^2.  Rotation invariance of both densities gives two
-conserved quantities along every geodesic: the metric speed
-E = m |sigma'| and the angular momentum L = m^2 Im(conj(sigma) sigma').
-The integrator is a Dormand-Prince 5(4) pair whose acceptance test also
-bounds the per-step change of E, so long traces conserve the speed to
-roughly the step tolerance without any re-projection.
+whose field data are m and the logarithmic z-derivative of m^2.
+Rotation invariance of both densities gives two conserved quantities
+along every geodesic: the metric speed E = m |sigma'| and the angular
+momentum L = m^2 Im(conj(sigma) sigma').  Together they fix the orbit,
+and every trace, from integrate and spiral_trace alike, is the Clairaut
+quadrature of that orbit in x = log(|z| / sqrt r) (_ClairautOrbit): no
+step-by-step integration, so the two integrals hold to rounding.
 
 MetricField takes m and its gradient from Ramanujan's 1psi1 product
 for the kernel diagonal (in hardy), at the same cost at every |z|.  A
@@ -35,10 +35,11 @@ square lattice r = SQUARE_R = e^-pi, about 0.0432.  Two regimes occur:
     level stays small, where c = L/E is the Clairaut constant; the
     radial offset from the circle grows by exp(sqrt(-K) * L_circle)
     per winding.  A launch state (position and velocity) carries c only
-    to about 1e-16, which caps a step-by-step integration at about five
-    windings.  The Clairaut quadrature below carries the gap as its own
-    scalar, down to the smallest positive double; for s at r = 0.1 that
-    orbit spends about fifty windings on each side of its turn.
+    to about 1e-16, so the orbit that integrate traces from it leaves
+    the waist within about five windings.  spiral_trace carries the gap
+    as its own scalar, down to the smallest positive double; for s at
+    r = 0.1 that orbit spends about fifty windings on each side of its
+    turn.
 
   * W regime (s for r < SQUARE_R): f is W-shaped, the symmetric circle
     at sqrt(r) is a stable local maximum of f flanked by two
@@ -76,9 +77,7 @@ ESCAPE_COLLAR = 1e-9
 #: MetricField raises ConvergenceError past max(|z|^2, r^2/|z|^2) = this, the
 #: largest q whose pair count max(32, floor(42/l + 4 ln(42/l + 8)/l) + 1),
 #: l = -ln q, the field's former Laurent sum kept within 2^20: traces escape
-#: where they did.  Past it, in a boundary funnel, DP45 holds the angular
-#: momentum only to a few 1e-7, and a per-step guard on it collapses the
-#: steps, since the position resolves the density there to eps/distance.
+#: where they did, at the last sample inside it.
 Q_HORIZON = 0.999910148850554
 
 #: e^-pi, the square lattice omega1 = pi, below which the waist of s is stable
@@ -86,41 +85,21 @@ Q_HORIZON = 0.999910148850554
 #: where math.exp(-math.pi) comes out 1.2 ulp high
 SQUARE_R = 0.04321391826377225
 
-#: default per-step error tolerance of integrate, which accepts (0, 1e-3].
+#: default panel tolerance of integrate, which accepts (0, 1e-3].
 STEP_TOL = 1e-9
 
 #: closure distances below this mean the trace returned to its start.
 CLOSURE_TOL = 1e-6
+
+#: x-tolerance of the flank-circle solve; a tangential launch this close to
+#: a critical circle is that circle
+_CIRCLE_XTOL = 1e-14
 
 #: gap c - f(sqrt r) between the Clairaut constant of a quadrature
 #: spiral and the waist level: the smallest positive normal double, so
 #: the orbit stays at an unstable waist as long as any representable
 #: gap allows.
 WAIST_GAP = sys.float_info.min
-
-# Dormand-Prince 5(4) tableau.  The last row of _A equals _B5, so the
-# seventh stage sits at the accepted point and is reused as the first
-# stage of the next step.
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (
-    5179 / 57600,
-    0.0,
-    7571 / 16695,
-    393 / 640,
-    -92097 / 339200,
-    187 / 2100,
-    1 / 40,
-)
-_ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
 
 @dataclass(frozen=True)
@@ -141,8 +120,7 @@ class GeodesicState:
 
 @dataclass(frozen=True)
 class GeodesicTrace:
-    """Sampled geodesic: one entry per accepted integrator step, or per
-    quadrature panel of spiral_trace.
+    """Sampled geodesic: one entry per quadrature panel end.
 
     speeds[i] is the metric speed m|v| at sample i, which is the
     conserved quantity; thetas[i] is the unwrapped angle swept since the
@@ -195,10 +173,6 @@ def _trace_from_samples(ts, positions, velocities, speeds, thetas, **status) -> 
     return GeodesicTrace(
         *map(tuple, (ts, positions, velocities, speeds, thetas)), winding, length, **status
     )
-
-
-class _StageOutside(Exception):
-    """An internal stage point left the open annulus."""
 
 
 class MetricField:
@@ -272,201 +246,6 @@ class MetricField:
         return self._at(rho).szego(rho)[1]
 
 
-def geodesic_rhs(r: float, metric: str, state: GeodesicState) -> complex:
-    """Acceleration -(d/dz log m^2) v^2 of the geodesic flow at a state."""
-    field = MetricField(r, metric)
-    _, g = field.density_and_log_gradient(state.position)
-    v = state.velocity
-    return -g * v * v
-
-
-def _eval(field: MetricField, z: complex, near: float):
-    """Field evaluation for one integrator stage.
-
-    Out-of-annulus points and the escape horizon next to the boundary
-    both surface as _StageOutside so the step controller can retreat.
-    """
-    try:
-        return field.density_and_log_gradient(z)
-    except DomainError:
-        raise _StageOutside from None
-    except ConvergenceError:
-        rho = abs(z)
-        if rho - field.r < near or 1.0 - rho < near:
-            raise _StageOutside from None
-        raise
-
-
-def _integrate(
-    field: MetricField,
-    initial: GeodesicState,
-    t_end: float,
-    step_tol: float = STEP_TOL,
-    band: tuple | None = None,
-    project: bool = False,
-    max_steps: int = 400_000,
-) -> GeodesicTrace:
-    r = field.r
-    z = check_point(r, initial.position, "z0")
-    v = initial.velocity
-    rho = abs(z)
-    if v == 0:
-        raise DomainError("initial velocity must be nonzero")
-    check_t_end(t_end)
-    if not (0.0 < step_tol <= 1e-3):
-        raise DomainError(f"step_tol must lie in (0, 1e-3], got {step_tol!r}")
-
-    near = 1e-3 * (1.0 - r)
-    m0, g0 = field.density_and_log_gradient(z)
-    e0 = m0 * abs(v)
-    l0 = m0 * m0 * (z.conjugate() * v).imag
-    # scale for angular-momentum drift; l0 itself vanishes for radial shots
-    l_scale = max(abs(l0), 1e-3 * e0 * m0 * rho)
-    k1 = (v, -g0 * v * v)
-    e_prev = e0
-
-    ts = [0.0]
-    zs = [z]
-    vs = [v]
-    speeds = [e0]
-    thetas = [0.0]
-    drift = 0.0
-    angular = 0.0
-    escaped = False
-    band_exit = None
-
-    t = 0.0
-    theta = 0.0
-    h = min(t_end, 0.02 * min(rho - r, 1.0 - rho) / abs(v))
-    rejects = 0
-
-    while t < t_end:
-        h = min(h, t_end - t)
-        fail = None
-        errnorm = math.inf
-        try:
-            ks = [k1]
-            for i in range(1, 6):
-                row = _A[i]
-                zz = z + h * sum(row[j] * ks[j][0] for j in range(i))
-                vv = v + h * sum(row[j] * ks[j][1] for j in range(i))
-                _, gi = _eval(field, zz, near)
-                ks.append((vv, -gi * vv * vv))
-            z_new = z + h * sum(_B5[j] * ks[j][0] for j in range(6))
-            v_new = v + h * sum(_B5[j] * ks[j][1] for j in range(6))
-            m_new, g_new = _eval(field, z_new, near)
-            k7 = (v_new, -g_new * v_new * v_new)
-            ks.append(k7)
-            err_z = h * sum(_ERR[j] * ks[j][0] for j in range(7))
-            err_v = h * sum(_ERR[j] * ks[j][1] for j in range(7))
-            sc_z = 1e-30 + step_tol * max(abs(z), abs(z_new))
-            sc_v = 1e-30 + step_tol * max(abs(v), abs(v_new))
-            errnorm = math.sqrt(0.5 * ((abs(err_z) / sc_z) ** 2 + (abs(err_v) / sc_v) ** 2))
-            if not errnorm <= 1.0:
-                fail = "accuracy"
-            elif abs(z_new - z) > 0.2 * abs(z):
-                fail = "jump"
-            else:
-                # gross conservation guard only; the accuracy test above
-                # is what actually sizes the steps
-                e_new = m_new * abs(v_new)
-                if abs(e_new - e_prev) > max(4.0 * step_tol, 1e-12) * e0:
-                    fail = "energy"
-                elif project:
-                    # re-impose the two first integrals (speed and
-                    # angular momentum); along unstable waists this is
-                    # what keeps the trace on its Clairaut level set
-                    rho_n = abs(z_new)
-                    u_r = z_new / rho_n
-                    w = u_r.conjugate() * v_new
-                    b_t = l0 / (m_new * m_new * rho_n)
-                    a_sq = (e0 / m_new) ** 2 - b_t * b_t
-                    a_t = math.copysign(math.sqrt(max(a_sq, 0.0)), w.real)
-                    v_proj = complex(a_t, b_t) * u_r
-                    if abs(v_proj - v_new) > 1e-6 * abs(v_new):
-                        fail = "energy"
-                    else:
-                        v_new = v_proj
-                        k7 = (v_new, -g_new * v_new * v_new)
-                        e_new = m_new * abs(v_new)
-        except _StageOutside:
-            fail = "outside"
-
-        if fail is None:
-            t += h
-            dtheta = cmath.phase(z_new / z)
-            theta += dtheta
-            z, v = z_new, v_new
-            k1 = k7
-            e_prev = e_new
-            drift = max(drift, abs(e_new - e0) / e0)
-            l_new = m_new * m_new * (z.conjugate() * v).imag
-            angular = max(angular, abs(l_new - l0) / l_scale)
-            ts.append(t)
-            zs.append(z)
-            vs.append(v)
-            speeds.append(e_new)
-            thetas.append(theta)
-            rho = abs(z)
-            if rho - r <= ESCAPE_COLLAR or 1.0 - rho <= ESCAPE_COLLAR:
-                escaped = True
-                break
-            if band is not None:
-                if rho <= band[0]:
-                    band_exit = "inner"
-                    break
-                if rho >= band[1]:
-                    band_exit = "outer"
-                    break
-            if len(ts) > max_steps:
-                raise ConvergenceError(
-                    f"geodesic exceeded {max_steps} accepted steps at t = {t:.6g}"
-                    f" (|z| = {rho:.6g}, r = {r!r})"
-                )
-            h *= min(5.0, max(0.2, 0.9 * errnorm ** -0.2)) if errnorm > 0 else 5.0
-            rejects = 0
-        else:
-            if fail == "accuracy":
-                # a NaN error norm (a non-finite field value) takes the floor
-                h *= min(0.9, max(0.1, 0.9 * errnorm ** -0.2)) if math.isfinite(errnorm) else 0.1
-            else:
-                h *= 0.5
-            rejects += 1
-            if fail == "outside" and h < 1e-10:
-                # the trajectory is pressed against a circle or the horizon
-                escaped = True
-                break
-            if rejects > 80 or h < 1e-15 * max(t, 1.0):
-                raise ConvergenceError(
-                    f"step size collapsed at t = {t:.6g} (|z| = {abs(z):.6g}, r = {r!r})"
-                )
-
-    return _trace_from_samples(
-        ts, zs, vs, speeds, thetas,
-        escaped=escaped, band_exit=band_exit, energy_drift=drift, angular_drift=angular,
-    )
-
-
-def integrate(
-    r: float,
-    metric: str,
-    initial: GeodesicState,
-    t_end: float,
-    step_tol: float = STEP_TOL,
-    project: bool = False,
-) -> GeodesicTrace:
-    """Trace the geodesic from the given state for parameter length t_end.
-
-    The trace stops early, with escaped=True, if the trajectory comes
-    within ESCAPE_COLLAR of a boundary circle.  With project=True each
-    accepted step is pulled back onto the level set of the two first
-    integrals (metric speed and angular momentum), the standard manifold
-    projection for integrable flows.
-    """
-    field = MetricField(r, metric)
-    return _integrate(field, initial, t_end, step_tol, project=project)
-
-
 def _bracketed_root(f, a: float, b: float, xtol: float) -> float | None:
     """Zero of f between a and b by bisection, or None unless f changes sign.
 
@@ -504,11 +283,11 @@ def _closed_circle(field: MetricField) -> ClosedGeodesic:
             return (1.0 + rho * g.real) / x
 
         try:
-            x1 = _bracketed_root(rate, math.log(field.r * (1.0 + 1e-3) / rs), 0.0, 1e-14)
+            x1 = _bracketed_root(rate, math.log(field.r * (1.0 + 1e-3) / rs), 0.0, _CIRCLE_XTOL)
         except RangeError:
             # below r of about 1e-305 the density at r(1 + 1e-3), about 1e3/r,
             # is past double range; at 2r it is finite and still in the flank
-            x1 = _bracketed_root(rate, math.log(2.0 * field.r / rs), 0.0, 1e-14)
+            x1 = _bracketed_root(rate, math.log(2.0 * field.r / rs), 0.0, _CIRCLE_XTOL)
         if x1 is None:
             raise InternalConsistencyError(f"no flank circle between r and sqrt(r) at r = {field.r!r}")
         rho_star = rs * math.exp(x1)
@@ -581,101 +360,174 @@ def _local_model(field: MetricField, centre: float, f_c: float, kappa: float) ->
     return coeffs if power == 2 else (0.0,) + coeffs
 
 
-class _ClairautOrbit:
-    """Radial profile of a unit-speed orbit with Clairaut constant c.
 
-    With metric speed 1 and c = L, x = log(rho / sqrt r) obeys
+
+class _ClairautOrbit:
+    """Radial profile of a unit-speed orbit with Clairaut constant c >= 0.
+
+    With metric speed 1 and c = |L|, x = log(rho / sqrt r) obeys
 
         dt = f^2 dx / sqrt(f^2 - c^2),   dtheta = c dx / sqrt(f^2 - c^2).
 
-    The orbit lies on the side `side` of the circle |x| = centre, at the
-    offset xi from it, and s makes both integrands smooth at the turns:
+    The orbit is taken about the critical circle |x| = centre of f, where
+    f = f_c: x = side (centre + xi) at the offset xi, and s, which grows
+    with t, makes both integrands smooth wherever f - c vanishes or
+    nearly does.  kind is one of
 
-      * a turning orbit has c = f_c + WAIST_GAP, just above the minimum
-        f_c of f on the circle, and turns at the offset x_t where f = c:
-        xi = x_t cosh(s), s < 0 on the way in and s > 0 on the way out;
-      * a well orbit (x_turn given) is the tangential launch at
-        |x| = x_turn about the stable waist (centre 0), so c = f there:
-        xi = x_t sin(s) from s = pi/2, with panels ending on the turns
-        s = pi/2 + k pi, where dt/ds is 0/0.
+      * circle: the circle itself, c = f_c, xi = 0 and s = theta;
+      * turning: c > f_c at a minimum of f, so the orbit turns at the
+        offset x_t where f = c: xi = x_t cosh(s), s < 0 on the way in and
+        s > 0 on the way out;
+      * well: c < f_c at the stable waist (centre 0), about which the
+        orbit oscillates between the turns -x_t and x_t: xi = x_t sin(s),
+        in equal panels that end on the turns s = pi/2 + k pi, where
+        dt/ds is 0/0;
+      * passing: c < f_c at a minimum, which the orbit crosses, slowed by
+        the gap f_c - c: xi = sense x_t sinh(s), the mirror of turning,
+        with x_t where a turning orbit at the mirrored gap would turn.
+
+    x_t is given where the caller knows it: a tangential launch turns at
+    its own offset, and turns past the model below come from the field.
+    Otherwise v_t = x_t^2 at the waist, x_t at a flank, solves v P(v) =
+    c - f_c (f_c - c when passing).  The default orbit is the turning one
+    at the smallest gap, c = f_c + WAIST_GAP, that spiral_trace follows.
 
     Where xi and x_t lie within X/80 of the circle, f comes from the model
-    v P(v) of _local_model and f - c from (v - v_t) times _gap_factor, so
-    the gap is never subtracted from anything; elsewhere f comes from the
-    field, good to about 1e-12 in f - c.
+    v P(v) of _local_model and f - c from (v - v_t) times _gap_factor, or
+    from the gap plus v P(v) when passing, so the gap is never subtracted
+    from anything; elsewhere f comes from the field, good to about 1e-12
+    in f - c.  tol is the panel tolerance (see pair, and the well's
+    panel count).
     """
 
-    def __init__(self, field, side, centre, f_c, coeffs, x_turn=None, rho0=None):
+    def __init__(
+        self, field, side, centre, f_c, coeffs, kind="turning", c=None, x_turn=None,
+        sense=1.0, tol=1e-10, rho0=None,
+    ):
         self.field = field
         self.side = side
         self.centre = centre
         self.f_c = f_c
         self.coeffs = coeffs
+        self.kind = kind
+        self.sense = sense
+        self.tol = tol
         self.power = 2 if centre == 0.0 else 1
         self.x_model = -0.00625 * math.log(field.r)
-        self.well = x_turn is not None
-        if self.well:
-            self.x_turn = x_turn
-            rho = math.sqrt(field.r) * math.exp(side * x_turn)
-            self.c = rho * field.density(rho)
+        self.limits = _escape_band(field.r)
+        # the gap c - f_c, which WAIST_GAP sets below the last bit of f_c
+        gap = WAIST_GAP if c is None else c - f_c
+        self.c = f_c + gap
+        if x_turn is None:
+            x_turn = self._model_offset(-gap if kind == "passing" else gap, rho0)
+        self.x_turn = x_turn
+        self.turn_model = self._turn_model() if kind in ("turning", "well") and x_turn > self.x_model else None
+        self.ds = self.period = None
+        if kind == "well":
             # equal panels, a whole number per half period, doubled until its
-            # time settles to 1e-10, or to the floor that the rounding of c
+            # time settles to tol, or to the floor that the rounding of c
             # sets next to a flank circle, where the period is ill-conditioned
-            n, change = 8, math.inf
+            n, change, half = 8, math.inf, self._half_period(8)
             while True:
-                step = abs(self._half_period(2 * n) / self._half_period(n) - 1.0)
-                if step <= 1e-10 or (change < 1e-6 and step > 0.5 * change):
+                finer = self._half_period(2 * n)
+                step = abs(finer[0] / half[0] - 1.0)
+                if step <= tol or (change < 1e-6 and step > 0.5 * change):
                     break
-                n, change = 2 * n, step
+                n, change, half = 2 * n, step, finer
                 if n == 512:
+                    rho = math.sqrt(field.r) * math.exp(side * x_turn)
                     raise ConvergenceError(
                         f"the oscillation from |z0| = {rho:.8g} with r = {field.r!r}"
                         f" does not settle at {n} panels per half period"
                     )
             self.ds = math.pi / n
-        else:
-            # v_t solves P_0 v + P_1 v^2 = WAIST_GAP (the higher terms sit far
-            # below its last bit), in the form that never divides by P_0: it
-            # vanishes at a flank circle and at the U/W transition
-            p0, p1 = coeffs[0], coeffs[1]
-            den = p0 + math.sqrt(p0 * p0 + 4.0 * p1 * WAIST_GAP)
-            if not den > 0.0:
-                # at a flank circle P_0 = 0, and 4 P_1 WAIST_GAP underflows to 0 for tiny P_1
-                raise ConvergenceError(
-                    f"the orbit from |z0| = {rho0!r} with r = {field.r!r} turns closer to"
-                    f" the circle |z| = {math.sqrt(field.r) * math.exp(side * centre)!r} than"
-                    f" double precision resolves: P_0 = {p0!r},"
-                    f" 4 P_1 WAIST_GAP = {4.0 * p1 * WAIST_GAP!r}"
-                )
-            root = math.sqrt(2.0 * WAIST_GAP) / math.sqrt(den)
-            self.x_turn = root if self.power == 2 else root * root
-            self.c = f_c + WAIST_GAP
-            self.ds = None
-        self.dt_target = TWO_PI * self.c / _SAMPLES_PER_LOOP
+            # the radial period and the angle it sweeps
+            self.period = (2.0 * half[0], 2.0 * half[1])
 
-    def s_at(self, xi: float) -> float:
-        """The s at which the orbit, on its way towards the circle, reaches xi."""
-        if self.well:
-            return math.pi - math.asin(max(xi / self.x_turn, -1.0))
-        return -math.acosh(max(xi / self.x_turn, 1.0))
+    def _model_offset(self, target: float, rho0) -> float:
+        """x_t from v P(v) = target, v = x_t^power."""
+        # the quadratic terms first, in the form that never divides by P_0:
+        # it vanishes at a flank circle and at the U/W transition, and is
+        # negative, as is the target, in the well of a stable waist
+        p0, p1 = self.coeffs[0], self.coeffs[1]
+        den = p0 + math.copysign(math.sqrt(p0 * p0 + 4.0 * p1 * target), target)
+        if not (den != 0.0 and (den > 0.0) == (target > 0.0)):
+            # at a flank circle P_0 = 0, and 4 P_1 WAIST_GAP underflows to 0 for tiny P_1
+            raise ConvergenceError(
+                f"the orbit from |z0| = {rho0!r} with r = {self.field.r!r} turns closer to"
+                f" the circle |z| = {math.sqrt(self.field.r) * math.exp(self.side * self.centre)!r}"
+                f" than double precision resolves: P_0 = {p0!r},"
+                f" 4 P_1 gap = {4.0 * p1 * target!r}"
+            )
+        root = math.sqrt(2.0 * abs(target)) / math.sqrt(abs(den))
+        v = root * root
+        if abs(self.coeffs[2]) * v * v * v > 1e-17 * abs(target):
+            # a Newton polish on the whole polynomial, where its higher terms
+            # reach the last bit of the target
+            slope = tuple((k + 1) * cf for k, cf in enumerate(self.coeffs))
+            for _ in range(4):
+                v -= (v * _poly(self.coeffs, v) - target) / _poly(slope, v)
+            root = math.sqrt(v)
+        return root if self.power == 2 else root * root
+
+    def _turn_model(self) -> tuple:
+        """Coefficients D of f - c = delta D(delta) about a turn past the model.
+
+        delta = |xi| - x_t is the offset from the turn, where f - c from
+        the field would be the difference of two values that agree to
+        their last bits.  D is a least-squares fit to those differences on
+        [-h, h], so their rounding spreads over the fit instead of growing
+        like 1/delta.  h is X/80, but at most a quarter of the way to the
+        boundary singularity of f and at most 0.1: f changes on a scale of
+        order 1 in x, over which nine terms would not hold it to rounding.
+        """
+        h = self.turn_h = min(self.x_model, 0.1, 0.25 * (-0.5 * math.log(self.field.r) - self.centre - self.x_turn))
+        deltas = h * np.cos(np.pi * (np.arange(24) + 0.5) / 24.0)
+        rs = math.sqrt(self.field.r)
+        rhos = rs * np.exp(self.side * (self.centre + self.x_turn + deltas))
+        gaps = np.array([rho * self.field.density(rho) for rho in rhos]) - self.c
+        design = np.vstack([(deltas / h) ** k for k in range(1, 10)]).T
+        fit, *_ = np.linalg.lstsq(design, gaps, rcond=None)
+        return tuple(float(q) / h**k for k, q in enumerate(fit, 1))
+
+    def xi_at(self, rho: float) -> float:
+        return self.side * math.log(rho / math.sqrt(self.field.r)) - self.centre
 
     def profile(self, s: float) -> tuple:
         """(x, f, dx/ds, w) at s, where w = |dx/ds| / sqrt(f^2 - c^2)."""
-        if self.well:
-            xi, dxi = self.x_turn * math.sin(s), self.x_turn * math.cos(s)
+        x_t = self.x_turn
+        if self.kind == "circle":
+            return self.side * self.centre, self.c, 0.0, 1.0 / self.c
+        if self.kind == "well":
+            xi, dxi = x_t * math.sin(s), x_t * math.cos(s)
+        elif self.kind == "turning":
+            xi, dxi = x_t * math.cosh(s), x_t * math.sinh(s)
         else:
-            xi, dxi = self.x_turn * math.cosh(abs(s)), self.x_turn * math.sinh(s)
+            xi, dxi = self.sense * x_t * math.sinh(s), self.sense * x_t * math.cosh(s)
         x = self.side * (self.centre + xi)
-        if max(xi, self.x_turn) <= self.x_model:
+        if max(abs(xi), x_t) <= self.x_model:
             v = xi**self.power
-            f = self.f_c + v * _poly(self.coeffs, v)
-            gap = _gap_factor(self.coeffs, v, self.x_turn**self.power)
-            # jac = (dxi/ds)^2 / (v - v_t): 1 for xi = x_t cosh s with
-            # v = xi^2, xi + x_t with v = xi, and -1 for xi = x_t sin s
-            jac = xi + self.x_turn if self.power == 1 else (-1.0 if self.well else 1.0)
-            w = 1.0 / math.sqrt(gap * (f + self.c) / jac)
+            lift = v * _poly(self.coeffs, v)
+            f = self.f_c + lift
+            if self.kind == "passing":
+                # f - c = (f_c - c) + v P(v), a sum of two positive terms
+                w = abs(dxi) / math.sqrt((self.f_c - self.c + lift) * (f + self.c))
+            else:
+                gap = _gap_factor(self.coeffs, v, x_t**self.power)
+                # jac = (dxi/ds)^2 / (v - v_t): 1 for xi = x_t cosh s with
+                # v = xi^2, xi + x_t with v = xi, and -1 for xi = x_t sin s
+                jac = xi + x_t if self.power == 1 else (-1.0 if self.kind == "well" else 1.0)
+                w = 1.0 / math.sqrt(gap * (f + self.c) / jac)
+        elif self.turn_model and abs(abs(xi) - x_t) <= self.turn_h:
+            delta = abs(xi) - x_t
+            d = _poly(self.turn_model, delta)
+            f = self.c + delta * d
+            # (dxi/ds)^2 = (|xi| + x_t) delta, negated in the well
+            w = math.sqrt((abs(xi) + x_t) / (d * (f + self.c) * (-1.0 if self.kind == "well" else 1.0)))
         else:
-            rho = math.sqrt(self.field.r) * math.exp(x)
+            # the rounding of x, which grows with |x| and with s, must not
+            # carry an evaluation at the edge of an escape past the horizon
+            rho = min(max(math.sqrt(self.field.r) * math.exp(x), self.limits[0]), self.limits[1])
             f = rho * self.field.density(rho)
             gap = (f - self.c) * (f + self.c)
             w = abs(dxi) / math.sqrt(gap) if gap > 0.0 else math.inf
@@ -696,87 +548,176 @@ class _ClairautOrbit:
             dth += weight * rth
         return half * dt, half * dth
 
-    def _half_period(self, n: int) -> float:
-        """t of a well orbit from s = pi/2 to 3 pi/2 by n equal panels."""
+    def pair(self, s: float, s_end: float, ds: float) -> tuple:
+        """Two panels from s, as [(s1, t, theta), (s2, t, theta)], and the next ds.
+
+        The samples aim at _SAMPLES_PER_LOOP per 2 pi of theta, and at
+        most a quarter of s apart where the orbit winds slowly.  The pair,
+        at most ds wide, is halved until it sweeps at most four sample
+        spacings of theta and the sums over its halves agree with the one
+        over the whole to tol, relative, in both t and theta; or until a
+        halving stops halving their difference, which is then the rounding
+        of f - c next to a turn.  The next pair aims at two spacings.
+        """
+        spacing = TWO_PI / _SAMPLES_PER_LOOP
+        prev = math.inf
+        while True:
+            s2 = min(s + ds, s_end)
+            s1 = 0.5 * (s + s2)
+            t_all, th_all = self.panel(s, s2)
+            if th_all > 4.0 * spacing and s < s1 < s2:
+                ds = s1 - s
+                continue
+            (t1, th1), (t2, th2) = self.panel(s, s1), self.panel(s1, s2)
+            dt, dth = t1 + t2, th1 + th2
+            err = max(abs(t_all - dt) / dt, abs(th_all - dth) / dth if dth > 0.0 else 0.0)
+            if err <= self.tol or err > 0.5 * prev or not s < s1 < s2:
+                break
+            prev, ds = err, s1 - s
+        return [(s1, t1, th1), (s2, t2, th2)], min(0.5, (s2 - s) * 2.0 * spacing / dth) if dth > 0.0 else 0.5
+
+    def _half_period(self, n: int) -> tuple:
+        """(t, theta) of a well orbit from s = pi/2 to 3 pi/2 by n equal panels."""
         ends = [math.pi * (0.5 + k / n) for k in range(n + 1)]
-        return math.fsum(self.panel(a, b)[0] for a, b in zip(ends, ends[1:]))
+        dts, dths = zip(*(self.panel(a, b) for a, b in zip(ends, ends[1:])))
+        return math.fsum(dts), math.fsum(dths)
+
+    def start(self, xi0: float, outward: bool) -> float:
+        """The s at the offset xi0, moving towards larger xi when outward."""
+        if self.kind == "circle":
+            return 0.0
+        if self.kind == "passing":
+            return math.asinh(self.sense * xi0 / self.x_turn)
+        if self.kind == "turning":
+            return math.copysign(math.acosh(max(xi0 / self.x_turn, 1.0)), 1.0 if outward else -1.0)
+        a = math.asin(min(max(xi0 / self.x_turn, -1.0), 1.0))
+        return a if outward else math.pi - a
+
+    def exit(self, s0: float, band: tuple) -> tuple:
+        """(s, edge) where the orbit from s0 first leaves the band, edge
+        "inner" or "outer"; (inf, None) if it never does."""
+        near, far = ("inner", "outer") if self.side > 0 else ("outer", "inner")
+        xi_near, xi_far = sorted(map(self.xi_at, band))
+        x_t = self.x_turn
+        if self.kind == "circle":
+            return math.inf, None
+        if self.kind == "passing":
+            if self.sense > 0:
+                return math.asinh(xi_far / x_t), far
+            return math.asinh(-xi_near / x_t), near
+        if self.kind == "turning":
+            # a band edge between xi0 and the turn stops the inward leg; else
+            # the orbit turns inside the band and leaves it on the far side
+            if s0 < 0.0 and xi_near > x_t:
+                return -math.acosh(xi_near / x_t), near
+            return math.acosh(xi_far / x_t), far
+        # the well crosses xi = e at asin(e / x_t) going out and pi minus
+        # that coming back, every 2 pi
+        first = (math.inf, None)
+        for edge, e, out in ((near, xi_near, False), (far, xi_far, True)):
+            if -x_t < e < x_t:
+                s = math.asin(e / x_t) if out else math.pi - math.asin(e / x_t)
+                s += TWO_PI * math.ceil((s0 - s) / TWO_PI)
+                first = min(first, (s + TWO_PI if s <= s0 else s, edge))
+        return first
 
 
-def _clairaut_trace(orbit: _ClairautOrbit, z0: complex, t_end: float, band: tuple) -> SpiralReport:
-    """Report on the quadrature trace of the orbit from z0.
+def _clairaut_trace(
+    orbit: _ClairautOrbit, s: float, z0: complex, t_end: float, band: tuple,
+    v0: complex | None = None, speed: float = 1.0, turn: float = 1.0, escape: bool = False,
+) -> SpiralReport:
+    """Report on the quadrature trace of the orbit from z0, at s.
 
-    The trace ends at t_end, or where it leaves the band if that comes
-    first: on the way in when the band stops short of the turn, else (a
-    turning orbit) on the way out.  Samples sit at the panel ends;
-    speeds and drifts are measured from them through the field
-    evaluator, independently of the quadrature.
+    The orbit runs at metric speed `speed`, counterclockwise for turn = 1
+    and clockwise for turn = -1.  The trace ends at t_end, or where it
+    leaves the band if that comes first (escaped=True when escape is set,
+    else band_exit names the edge).  Samples sit at the panel ends, the
+    first at (z0, v0) when v0 is given; speeds and drifts are measured
+    from them through the field evaluator, independently of the
+    quadrature.  A well orbit, which has a radial period, returns to its
+    launch state rotated by the angle of a period, so its closure distance
+    after k periods is (|z0| + |v0|) 2 |sin(k Theta / 2)|, the least over
+    the periods traced; any other orbit never closes.
     """
-    field, side = orbit.field, orbit.side
+    field = orbit.field
     rs = math.sqrt(field.r)
-    s = orbit.s_at(abs(math.log(abs(z0) / rs)) - orbit.centre)
-    # a band edge between z0 and the turn stops the inward leg; else the
-    # orbit turns inside the band and can only leave it on z0's side
-    near, far = (band[0], band[1]) if side > 0 else (band[1], band[0])
-    xi_near = side * math.log(near / rs) - orbit.centre
-    if xi_near > (-orbit.x_turn if orbit.well else orbit.x_turn):
-        s_band = orbit.s_at(xi_near)
-        band_exit = "inner" if side > 0 else "outer"
-    elif orbit.well:
-        s_band, band_exit = math.inf, None
-    else:
-        s_band = -orbit.s_at(side * math.log(far / rs) - orbit.centre)
-        band_exit = "outer" if side > 0 else "inner"
-
+    s_exit, edge = orbit.exit(s, band)
+    t_stop = speed * t_end
     t = theta = 0.0
     samples = [(t, s, theta)]
-    while s < s_band:
-        # dt/ds grows like f towards the boundary, so this also shrinks
-        # the panels where f steepens
-        ds = orbit.ds or min(0.25, orbit.dt_target / orbit.rates(s)[0])
-        s_next = min(s + ds, s_band)
-        dt, dth = orbit.panel(s, s_next)
-        if t + dt >= t_end:
-            # Newton on t(s_hit) = t_end inside the panel
-            s_hit = s + (s_next - s) * (t_end - t) / dt
-            for _ in range(8):
-                step = (t + orbit.panel(s, s_hit)[0] - t_end) / orbit.rates(s_hit)[0]
-                s_hit -= step
-                if abs(step) <= 1e-15 * max(1.0, abs(s_hit)):
-                    break
-            samples.append((t_end, s_hit, theta + orbit.panel(s, s_hit)[1]))
-            band_exit = None
-            break
-        t, s, theta = t + dt, s_next, theta + dth
-        samples.append((t, s, theta))
+    hit = False
+    if orbit.ds:
+        # index of the first turn-aligned panel end past s
+        k = math.floor((s - 0.5 * math.pi) / orbit.ds) + 1
+        if 0.5 * math.pi + k * orbit.ds <= s:
+            k += 1
+    ds = 0.5
+    while s < s_exit and not hit:
+        if orbit.ds:
+            s1 = min(0.5 * math.pi + k * orbit.ds, s_exit)
+            pieces = [(s1, *orbit.panel(s, s1))]
+            k += 1
+        else:
+            pieces, ds = orbit.pair(s, s_exit, ds)
+        for s1, dt, dth in pieces:
+            if t + dt >= t_stop:
+                # Newton on t(s_hit) = t_stop inside the panel
+                s_hit = s + (s1 - s) * (t_stop - t) / dt
+                for _ in range(8):
+                    step = (t + orbit.panel(s, s_hit)[0] - t_stop) / orbit.rates(s_hit)[0]
+                    s_hit -= step
+                    if abs(step) <= 1e-15 * max(1.0, abs(s_hit)):
+                        break
+                samples.append((t_stop, s_hit, theta + orbit.panel(s, s_hit)[1]))
+                hit = True
+                break
+            t, s, theta = t + dt, s1, theta + dth
+            samples.append((t, s, theta))
 
     u0 = z0 / abs(z0)
-    positions, velocities, speeds, momenta = [], [], [], []
-    for _, s_i, theta_i in samples:
-        x, f, dx, w = orbit.profile(s_i)
-        root = abs(dx) / w  # sqrt(f^2 - c^2)
-        z = rs * math.exp(x) * u0 * cmath.exp(1j * theta_i) if positions else z0
-        # at unit speed rho' = +-rho root / f^2 and rho theta' = rho c / f^2
-        v = z * complex(math.copysign(root, dx), orbit.c) / (f * f)
+    positions, velocities, speeds, momenta, densities = [], [], [], [], []
+    for i, (_, s_i, theta_i) in enumerate(samples):
+        if i == 0 and v0 is not None:
+            z, v = z0, v0
+        else:
+            x, f, dx, w = orbit.profile(s_i)
+            root = abs(dx) / w if dx else 0.0  # sqrt(f^2 - c^2)
+            if i == 0:
+                z = z0
+            else:
+                # the exit sample sits on its edge, and no sample leaves the band
+                rho = min(max(rs * math.exp(x), band[0]), band[1])
+                if not hit and i == len(samples) - 1:
+                    rho = band[0] if edge == "inner" else band[1]
+                z = rho * u0 * cmath.exp(1j * turn * theta_i)
+            # at unit speed rho' = +-rho root / f^2 and rho theta' = rho c / f^2
+            v = speed * z * complex(math.copysign(root, dx), turn * orbit.c) / (f * f)
         m = field.density(z)
+        densities.append(m)
         positions.append(z)
         velocities.append(v)
         speeds.append(m * abs(v))
         momenta.append(m * m * (z.conjugate() * v).imag)
-    ts, _, thetas = zip(*samples)
-
+    ts = [t_i / speed for t_i, _, _ in samples]
+    if hit:
+        ts[-1] = t_end
+    thetas = [turn * theta_i for _, _, theta_i in samples]
+    # scale for angular-momentum drift; it vanishes for radial shots
+    l_scale = max(abs(momenta[0]), 1e-3 * speeds[0] * abs(z0) * densities[0])
+    exited = not hit
     trace = _trace_from_samples(
-        ts, positions, velocities, speeds, thetas, escaped=False, band_exit=band_exit,
+        ts, positions, velocities, speeds, thetas,
+        escaped=exited and escape, band_exit=edge if exited and not escape else None,
         energy_drift=max(abs(e - speeds[0]) for e in speeds) / speeds[0],
-        angular_drift=max(abs(l - momenta[0]) for l in momenta) / momenta[0],
+        angular_drift=max(abs(l - momenta[0]) for l in momenta) / l_scale,
     )
-    radii = [abs(p) for p in trace.positions]
-    v0 = trace.velocities[0]
+    radii = [abs(p) for p in positions]
     dist = math.inf
-    for i in range(1, len(trace)):
-        if -math.pi <= trace.thetas[i] <= math.pi:
-            continue
-        d = abs(trace.positions[i] - z0) + abs(trace.velocities[i] - v0)
-        dist = min(dist, d)
+    if orbit.period:
+        period, angle = orbit.period
+        scale = abs(z0) + abs(velocities[0])
+        for k in range(1, int(samples[-1][0] / (speed * period)) + 1):
+            dist = min(dist, scale * 2.0 * abs(math.sin(0.5 * k * angle)))
     return SpiralReport(
         trace=trace,
         rho_min=min(radii),
@@ -784,9 +725,145 @@ def _clairaut_trace(orbit: _ClairautOrbit, z0: complex, t_end: float, band: tupl
         closed=dist < CLOSURE_TOL,
         closure_distance=dist,
         # the launch velocity is u0 (i cos psi - sin psi) / m0
-        launch_angle=0.0 if orbit.well else cmath.phase(v0 / u0) - 0.5 * math.pi,
-        succeeded=band_exit is None,
+        launch_angle=0.0 if orbit.kind == "well" else cmath.phase(velocities[0] / u0) - 0.5 * math.pi,
+        succeeded=not exited,
     )
+
+
+def _launch_orbit(field: MetricField, z0: complex, v0: complex, tol: float) -> tuple:
+    """(orbit, s at z0, metric speed, turn) of the geodesic from (z0, v0).
+
+    The speed E = m |v0| and the Clairaut constant c = L / E fix the
+    orbit, |c| = f(|z0|) cos(psi) for the tilt psi of v0 from the
+    tangent.  A launch is tangential when its radial part is below the
+    rounding of |v0|; one within the solve's tolerance of a critical
+    circle is that circle.  Otherwise the family (see _ClairautOrbit)
+    follows from where |z0| lies and how |c| compares with f on the
+    circles (module docstring):
+
+      * U regime: turning at the waist above its level, passing below;
+      * W regime, between the flank circles: the well above their level,
+        passing below it at the flank the orbit reaches first;
+      * W regime, outside them: turning at the nearer flank circle above
+        its level, passing below.
+
+    A tangential launch turns at its own offset.  Any other turn comes
+    from the local model of the circle when the gap |c - f_c| is within
+    the change of f across the model, else from a bisection of f = |c|
+    on the field between the model's edge and z0 (the flank circle, for
+    the well).
+    """
+    r = field.r
+    rs = math.sqrt(r)
+    rho0 = abs(z0)
+    m0 = field.density(z0)
+    f0 = rho0 * m0
+    w = (z0 / rho0).conjugate() * v0  # radial + i tangential velocity
+    tangential = abs(w.imag) == abs(w)
+    c = f0 if tangential else f0 * abs(w.imag) / abs(w)
+    speed, turn = m0 * abs(v0), math.copysign(1.0, w.imag)
+    x0 = math.log(rho0 / rs)
+    ax0 = abs(x0)
+    side = -1.0 if x0 < 0.0 else 1.0
+    moving = math.copysign(1.0, w.real)  # sign of dx/dt
+    x1 = abs(math.log(_closed_circle(field).rho_star / rs))  # 0 when the waist is the only circle
+    x_model = -0.00625 * math.log(r)
+
+    def f_at(x: float) -> float:
+        rho = rs * math.exp(x)
+        return rho * field.density(rho)
+
+    def orbit(kind, side, centre, xi0, x_turn=None, sense=1.0, bracket=None):
+        f_c = f_at(centre)
+        coeffs = None
+        if x_turn is None and abs(c - f_c) > (reach := abs(f_at(centre + x_model) - f_c)):
+            # the gap is past what f covers across the model
+            if kind == "passing":
+                x_turn = x_model * math.sqrt(abs(c - f_c) / reach)
+            else:
+                x_turn = _bracketed_root(lambda xi: f_at(side * (centre + xi)) - c, *bracket, 0.0)
+                if x_turn is None:
+                    raise InternalConsistencyError(
+                        f"no turn of the orbit from |z0| = {rho0!r} with r = {r!r} in {bracket!r}"
+                    )
+        if x_turn is None or x_turn <= x_model:
+            coeffs = _local_model(field, centre, f_c, field.curvature(rs * math.exp(centre)))
+        o = _ClairautOrbit(field, side, centre, f_c, coeffs, kind, c, x_turn, sense, tol, rho0)
+        return o, o.start(xi0, side * moving > 0.0)
+
+    if tangential and min(ax0, abs(ax0 - x1)) <= _CIRCLE_XTOL:
+        o = _ClairautOrbit(field, side, ax0, f0, None, "circle", c, 0.0, tol=tol)
+        return o, 0.0, speed, turn
+    level = f_at(x1)  # the minimum of f: the waist in the U regime, else a flank
+    if ax0 < x1 and (tangential or c > level):
+        o, s = orbit("well", side, 0.0, ax0, ax0 if tangential else None,
+                     bracket=(max(ax0, x_model), x1))
+        return o, (0.5 * math.pi if tangential else s), speed, turn
+    if tangential or c > level:
+        o, s = orbit("turning", side, x1, ax0 - x1, ax0 - x1 if tangential else None,
+                     bracket=(x_model, ax0 - x1))
+        return o, (0.0 if tangential else s), speed, turn
+    # passing, at the circle the orbit reaches first (the waist itself in the U regime)
+    ahead = [xc for xc in (-x1, x1) if (xc - x0) * moving > 0.0] or [math.copysign(x1, x0)]
+    xc = min(ahead, key=lambda xc: abs(xc - x0))
+    side = moving if x1 == 0.0 else math.copysign(1.0, xc)
+    o, s = orbit("passing", side, x1, side * x0 - x1, sense=side * moving)
+    return o, s, speed, turn
+
+
+def _escape_band(r: float) -> tuple:
+    """Radii where a trace escapes: ESCAPE_COLLAR from a circle, or a
+    relative 1e-15 inside the escape horizon, so that the field answers
+    at every sample."""
+    q = math.sqrt(Q_HORIZON)
+    return max(r + ESCAPE_COLLAR, r / q * (1.0 + 1e-15)), min(1.0 - ESCAPE_COLLAR, q * (1.0 - 1e-15))
+
+
+def integrate(
+    r: float,
+    metric: str,
+    initial: GeodesicState,
+    t_end: float,
+    step_tol: float = STEP_TOL,
+) -> GeodesicTrace:
+    """Trace the geodesic from the given state for parameter length t_end.
+
+    The launch state fixes the speed E = m |v0| and the Clairaut constant
+    c = L / E, and with them the orbit (_launch_orbit), which is traced by
+    Clairaut quadrature (_ClairautOrbit) at 8-point Gauss-Legendre panels,
+    a sample at each panel end, about 64 per 2 pi of angle swept (see
+    _ClairautOrbit.pair).  step_tol in (0, 1e-3] is the panel
+    tolerance: each pair of panels is halved until the sums over its
+    halves agree with the one over the whole to step_tol, relative, in
+    both t and theta, or until the rounding of f - c next to a turn sets
+    the floor; a radial oscillation in the stable well doubles its equal
+    panels until its half period settles to step_tol.  A tangential
+    launch on a critical circle is that circle, traced at the same 64
+    samples per loop with no quadrature at all.
+
+    The trace stops early, with escaped=True, where the orbit comes
+    within ESCAPE_COLLAR of a boundary circle or reaches the escape
+    horizon Q_HORIZON, past which the field stops; every sample is a
+    point where MetricField answers.
+    """
+    field = MetricField(r, metric)
+    z0 = check_point(field.r, initial.position, "z0")
+    v0 = initial.velocity
+    if v0 == 0:
+        raise DomainError("initial velocity must be nonzero")
+    check_t_end(t_end)
+    if not (0.0 < step_tol <= 1e-3):
+        raise DomainError(f"step_tol must lie in (0, 1e-3], got {step_tol!r}")
+    band = _escape_band(field.r)
+    if not band[0] < abs(z0) < band[1]:
+        # already escaped: for r below about 1e-9 that is the whole waist
+        m0 = field.density(z0)
+        return _trace_from_samples(
+            [0.0], [z0], [v0], [m0 * abs(v0)], [0.0],
+            escaped=True, band_exit=None, energy_drift=0.0, angular_drift=0.0,
+        )
+    orbit, s, speed, turn = _launch_orbit(field, z0, v0, step_tol)
+    return _clairaut_trace(orbit, s, z0, t_end, band, v0, speed, turn, escape=True).trace
 
 
 def spiral_trace(
@@ -799,8 +876,9 @@ def spiral_trace(
     """Trace a winding, non-closing geodesic through z0 confined to a band.
 
     Every spiral is an orbit chosen by its Clairaut constant and traced
-    by quadrature (see _ClairautOrbit).  Which orbit depends on the
-    regime of the module docstring, that is on metric and SQUARE_R:
+    by quadrature (see _ClairautOrbit), at the panel tolerance 1e-10.
+    Which orbit depends on the regime of the module docstring, that is
+    on metric and SQUARE_R:
 
     U regime (unstable waist sqrt(r)): c = f* + WAIST_GAP, just above
     the waist level f* = f(sqrt r).  The orbit spirals from z0 towards
@@ -819,7 +897,9 @@ def spiral_trace(
     is True exactly when the trace is still inside the band at t_end.
     Otherwise the report carries the orbit up to its band exit, and
     succeeded=False: that also happens when t_end exceeds what even the
-    smallest gap can hold at an unstable circle.
+    smallest gap can hold at an unstable circle.  closed and
+    closure_distance come from the orbit's radial period (see
+    _clairaut_trace), not from the samples.
     """
     field = MetricField(r, metric)
     z0 = check_point(field.r, z0, "z0")
@@ -840,6 +920,9 @@ def spiral_trace(
         raise DomainError(f"band {band!r} must be strictly inside the annulus")
     if not (band[0] < rho0 < band[1]):
         raise DomainError(f"z0 = {z0!r} lies outside the band {band!r}")
+    # the orbit can only be traced up to the escape horizon
+    lo, hi = _escape_band(field.r)
+    band = (max(band[0], lo), min(band[1], hi))
 
     # the orbit turns at the waist, oscillates in the well between the
     # flank circles at |x| = x1, or turns at the nearer flank circle
@@ -850,5 +933,11 @@ def spiral_trace(
     f_c = rho_c * field.density(rho_c)
     coeffs = _local_model(field, x_c, f_c, field.curvature(rho_c))
     side = 1.0 if rho0 > rs else -1.0
-    orbit = _ClairautOrbit(field, side, x_c, f_c, coeffs, x0 if x0 < x1 else None, rho0)
-    return _clairaut_trace(orbit, z0, t_end, band)
+    if x0 < x1:
+        rho_t = rs * math.exp(side * x0)
+        orbit = _ClairautOrbit(field, side, 0.0, f_c, coeffs, "well", rho_t * field.density(rho_t), x0)
+        s = 0.5 * math.pi
+    else:
+        orbit = _ClairautOrbit(field, side, x_c, f_c, coeffs, rho0=rho0)
+        s = orbit.start(x0 - x_c, False)
+    return _clairaut_trace(orbit, s, z0, t_end, band)

@@ -250,7 +250,13 @@ def _frame(r: float, lam: float, where: str) -> tuple:
     circle, which no number of terms reaches; where names the point in
     that ConvergenceError.
     """
-    r_in, r_out = r ** (1.0 - lam), r ** (-lam)
+    try:
+        r_in, r_out = r ** (1.0 - lam), r ** (-lam)
+    except OverflowError:
+        raise RangeError(
+            f"{where} with r = {r!r} is past double range: lambda = {lam!r}"
+            f" rescales the outer circle to r^(-lambda), above the largest double"
+        ) from None
     if not r_in < 1.0 < r_out:
         raise ConvergenceError(
             f"{where} is within rounding of a boundary circle of A_r with r = {r!r}:"

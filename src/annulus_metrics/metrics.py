@@ -27,6 +27,7 @@ N-th order curvature is -4 det(d^j dbar^k m)_{j,k<=N} / m^((N+1)^2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -173,13 +174,22 @@ def szego_metric_wp(r: float, z: complex) -> float:
 
     s(z)^2 = (p(2 log|z|) - p(2 log|z| + omega1 + omega3)) / |z|^2 on
     the lattice with half-periods omega1 = -log r and omega3 = i*pi.
-    The difference is real and positive for r < |z| < 1.
+    The difference is real and positive for r < |z| < 1.  At small r it
+    cancels: RangeError where its rounding bound eps (|p(u)| + |p(u +
+    omega1 + omega3)|) / |difference| exceeds 1e-9, so that the value
+    never strays from the 1e-8 agreement with sample unannounced.
     """
     zc = check_point(check_r(r), z)
     ctx = _context_for(r)
     u = 2.0 * math.log(abs(zc))
     shift = complex(ctx.omega1, ctx.omega3_im)
-    diff = wp(ctx, complex(u, 0.0)) - wp(ctx, u + shift)
+    p_u, p_shifted = wp(ctx, complex(u, 0.0)), wp(ctx, u + shift)
+    diff = p_u - p_shifted
+    if sys.float_info.epsilon * (abs(p_u) + abs(p_shifted)) > 1e-9 * abs(diff):
+        raise RangeError(
+            f"the elliptic Szego density at |z| = {abs(zc)!r} with r = {r!r} cancels past"
+            f" 1e-9: p(u) = {p_u!r} and p(u + omega1 + omega3) = {p_shifted!r} differ by {diff!r}"
+        )
     if abs(diff.imag) > 1e-12 * max(1.0, abs(diff.real)):
         raise InternalConsistencyError(
             f"p-difference should be real on the segment, got {diff!r}"
@@ -280,7 +290,12 @@ def higher_curvature(
     if which == "szego":
         return product.szego(rho)[1]
     K, k2, D = product.hankel(rho)
-    rc = rho * math.exp(K)
+    try:
+        rc = rho * math.exp(K)
+    except OverflowError:
+        raise RangeError(
+            f"c at |z| = {rho!r} with r = {r!r} is past double range (log c = {K!r})"
+        ) from None
     kappa = -4.0 * (k2 if N == 1 else D)
     for _ in range(N * (N + 1)):
         kappa /= rc

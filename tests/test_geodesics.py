@@ -1,4 +1,5 @@
-"""Geodesic layer: field evaluator, integrator, circles, and spirals by Clairaut quadrature."""
+"""Geodesic layer: field evaluator, circles, and every trace by Clairaut quadrature,
+checked against the DP45 oracle of conftest."""
 
 import cmath
 import math
@@ -17,21 +18,17 @@ from annulus_metrics.geodesics import (
     WAIST_GAP,
     GeodesicState,
     MetricField,
-    _A,
-    _B4,
-    _B5,
     _ClairautOrbit,
     _gap_factor,
-    _integrate,
     _local_model,
     find_closed_geodesic,
-    geodesic_rhs,
     integrate,
     spiral_trace,
 )
 from annulus_metrics.hardy import szego_kernel_jet
 from annulus_metrics.jets import jet_log
 from annulus_metrics.metrics import sample
+from conftest import _A, _B4, _B5, dp45_integrate, geodesic_rhs
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,7 +47,7 @@ def kernel_route(r: float, metric: str, z: complex):
 
 
 # ---------------------------------------------------------------------------
-# integrator tableau
+# tableau of the DP45 oracle (conftest)
 
 
 def test_tableau_row_sums():
@@ -203,7 +200,7 @@ def test_field_past_double_range_raises_range_error(metric):
 
 
 # ---------------------------------------------------------------------------
-# right-hand side
+# right-hand side of the DP45 oracle
 
 
 def test_rhs_matches_field():
@@ -248,11 +245,12 @@ def test_circle_at_sqrt_r(r, metric):
 
 
 @pytest.mark.parametrize("metric", ["c", "s"])
-@pytest.mark.parametrize("r", [0.05, 0.1, 0.3])
+@pytest.mark.parametrize("r", [0.05, 0.1, 0.3, 0.6, 0.9])
 def test_circle_closes_under_integration(r, metric):
-    # the waist is hyperbolic, so one-loop closure error is the step
-    # error amplified by exp(sqrt(-K) L); r = 0.3 amplifies by ~1e7 and
-    # needs a tight step tolerance to close within 1e-6
+    # the waist is hyperbolic, and a step-by-step integration amplifies its
+    # step error by exp(sqrt(-K) L) per loop (about 1e7 at r = 0.3; at
+    # r = 0.6 DP45 does not get round once).  The tangential launch on
+    # the circle is the circle, traced at 64 samples per loop
     circle = find_closed_geodesic(r, metric)
     field = MetricField(r, metric)
     z0 = complex(circle.rho_star, 0.0)
@@ -261,10 +259,11 @@ def test_circle_closes_under_integration(r, metric):
     assert not trace.escaped
     assert trace.winding_count == 1
     closure = abs(trace.positions[-1] - z0) + abs(trace.velocities[-1] - v0)
-    assert closure <= 1e-6
-    assert trace.energy_drift <= 1e-7
-    assert trace.angular_drift <= 1e-7
-    assert trace.length == pytest.approx(circle.length, rel=1e-8)
+    assert closure <= 1e-12
+    assert trace.energy_drift <= 1e-12
+    assert trace.angular_drift <= 1e-12
+    assert len(trace) == 65
+    assert trace.length == pytest.approx(circle.length, rel=1e-12)
 
 
 def test_bracketed_root_matches_brentq(monkeypatch):
@@ -442,8 +441,8 @@ def generic_state():
     return GeodesicState(z0, v0)
 
 
-def generic_trace(t_end=3.0, project=False):
-    return integrate(0.3, "s", generic_state(), t_end, project=project)
+def generic_trace(t_end=3.0):
+    return integrate(0.3, "s", generic_state(), t_end)
 
 
 def test_generic_conservation():
@@ -503,11 +502,138 @@ def test_length_additivity():
 
 
 def test_projection_pins_both_integrals():
-    trace = generic_trace(project=True)
+    # the oracle's first-integral projection
+    field = MetricField(0.3, "s")
+    trace = dp45_integrate(field, generic_state(), 3.0, project=True)
     assert trace.energy_drift <= 1e-12
     assert trace.angular_drift <= 1e-12
-    loose = generic_trace(project=False)
+    loose = dp45_integrate(field, generic_state(), 3.0)
     assert abs(trace.positions[-1] - loose.positions[-1]) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# integrate: every launch by Clairaut quadrature
+
+
+def tilted_state(r, metric, rho, psi, theta=0.4):
+    """Unit-speed launch at |z| = rho, tilted inward by psi from the counterclockwise tangent."""
+    u = cmath.exp(1j * theta)
+    m = MetricField(r, metric).density(rho * u)
+    return GeodesicState(rho * u, (1j * u * math.cos(psi) - u * math.sin(psi)) / m)
+
+
+ORACLE_LAUNCHES = [
+    # turning short of the unstable waist: tilted in, tilted out (past its
+    # turn), and clockwise from either side
+    (0.3, "s", 0.8, 0.3, 3.0),
+    (0.3, "s", 0.8, -0.3, 3.0),
+    (0.1, "s", 0.5, 0.2, 5.0),
+    (0.1, "c", 0.15, 2.8, 5.0),
+    (0.1, "c", 0.5, 2.9, 5.0),
+    # passing the waist into a boundary funnel, from next to it (once
+    # clockwise) and from on it
+    (0.3, "s", 0.52, 0.3, 3.0),
+    (0.3, "s", 0.52, -0.3, 3.0),
+    (0.3, "s", 0.52, 2.0, 3.0),
+    (0.1, "c", 0.2, -1.0, 5.0),
+    (0.1, "s", math.sqrt(0.1), 0.1, 10.0),
+    (0.1, "c", math.sqrt(0.1), -0.2, 10.0),
+    (0.3, "s", math.sqrt(0.3), 0.29, 10.0),
+    # the W regime: the well from a tilted launch at the waist, turning
+    # short of the inner flank circle, and passing both flanks
+    (0.02, "s", math.sqrt(0.02), 0.2, 10.0),
+    (0.015, "s", math.sqrt(0.015), -0.3, 10.0),
+    (0.02, "s", 0.05, -0.2, 10.0),
+    (0.02, "s", 0.3, 0.5, 10.0),
+    (0.02, "s", 0.3, 1.2, 10.0),
+    (0.02, "s", 0.1, 1.3, 10.0),
+]
+
+
+@pytest.mark.parametrize("r, metric, rho, psi, t_end", ORACLE_LAUNCHES)
+def test_integrate_matches_the_dp45_oracle(r, metric, rho, psi, t_end):
+    state = tilted_state(r, metric, rho, psi)
+    trace = integrate(r, metric, state, t_end)
+    assert trace.escaped or trace.ts[-1] == t_end
+    ref = dp45_integrate(MetricField(r, metric), state, trace.ts[-1], step_tol=1e-12, project=True)
+    assert abs(trace.positions[-1] - ref.positions[-1]) <= 1e-10
+    assert abs(trace.velocities[-1] - ref.velocities[-1]) <= 1e-9 * abs(ref.velocities[-1])
+    assert trace.energy_drift <= 1e-10
+    assert trace.angular_drift <= 1e-10
+
+
+@pytest.mark.parametrize("r, metric, rho, psi, t_end", ORACLE_LAUNCHES)
+def test_integrate_holds_both_integrals_away_from_the_boundary(r, metric, rho, psi, t_end):
+    # the samples' speeds and momenta come from the field, so they check
+    # the reconstruction independently of the quadrature; within 1e-3 of a
+    # boundary circle the position resolves the density only to eps/distance
+    trace = integrate(r, metric, tilted_state(r, metric, rho, psi), t_end)
+    keep = [i for i, z in enumerate(trace.positions) if abs(z) - r >= 1e-3 * r and 1.0 - abs(z) >= 1e-3]
+    field = MetricField(r, metric)
+    e0, z0, v0 = trace.speeds[0], trace.positions[0], trace.velocities[0]
+    l0 = field.density(z0) ** 2 * (z0.conjugate() * v0).imag
+    for i in keep:
+        z, v = trace.positions[i], trace.velocities[i]
+        m = field.density(z)
+        assert abs(m * abs(v) - e0) <= 1e-12 * e0
+        assert abs(m * m * (z.conjugate() * v).imag - l0) <= 1e-12 * max(abs(l0), 1e-3 * e0 * abs(z0) * m)
+
+
+@pytest.mark.parametrize("r", [0.05, 0.3])
+@pytest.mark.parametrize("metric", ["c", "s"])
+def test_integrate_samples_are_points_where_the_field_answers(r, metric):
+    # launches at the waist tilted either way, a hair off the tangent, and
+    # radial shots, in and out: each escapes at the horizon, and the field
+    # answers at every sample, the last one included
+    field = MetricField(r, metric)
+    rs = math.sqrt(r)
+    for psi in (0.3, -0.3, 1e-3, -1e-3, 0.5 * math.pi, -0.5 * math.pi):
+        trace = integrate(r, metric, tilted_state(r, metric, rs, psi, theta=1.1), 40.0)
+        assert trace.escaped, psi
+        for z in trace.positions:
+            m, g = field.density_and_log_gradient(z)
+            assert math.isfinite(m) and cmath.isfinite(g)
+        rho = abs(trace.positions[-1])
+        assert max(rho * rho, (r / rho) ** 2) >= geodesics.Q_HORIZON * (1.0 - 1e-14), psi
+        if abs(psi) == 0.5 * math.pi:
+            assert max(abs(th) for th in trace.thetas) <= 1e-15
+
+
+def test_closed_circle_costs_its_samples(monkeypatch):
+    # a tangential launch on the U waist is the circle itself: 64 samples
+    # per loop and no quadrature; the launch and the circle check add two
+    r, metric = 0.1, "s"
+    circle = find_closed_geodesic(r, metric)
+    z0 = complex(circle.rho_star, 0.0)
+    v0 = 1j / MetricField(r, metric).density(z0)
+    calls = []
+    evaluate = MetricField.density_and_log_gradient
+
+    def counted(self, z):
+        calls.append(z)
+        return evaluate(self, z)
+
+    monkeypatch.setattr(MetricField, "density_and_log_gradient", counted)
+    trace = integrate(r, metric, GeodesicState(z0, v0), 3.0 * circle.length, step_tol=1e-13)
+    assert len(trace) == 3 * 64 + 1
+    assert len(calls) == len(trace) + 2
+    assert trace.winding_count == 3
+
+
+@pytest.mark.parametrize("r, z0, t_end", [(0.02, 0.16, 150.0), (0.1, 0.5, 120.0)])
+def test_spiral_closure_comes_from_the_orbit(monkeypatch, r, z0, t_end):
+    # the closure distance is a property of the orbit: the well returns to
+    # its launch state rotated by the angle of each radial period, and an
+    # orbit at an unstable circle never returns; the sampling must not move it
+    before = spiral_trace(r, "s", z0, t_end)
+    monkeypatch.setattr(geodesics, "_SAMPLES_PER_LOOP", 4 * geodesics._SAMPLES_PER_LOOP)
+    after = spiral_trace(r, "s", z0, t_end)
+    assert after.closure_distance == before.closure_distance
+    assert not after.closed
+    if r < SQUARE_R:
+        assert 1e-3 < before.closure_distance < math.inf
+    else:
+        assert before.closure_distance == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +896,7 @@ def test_quadrature_spiral_matches_integrator(metric, loops, tol):
     state = GeodesicState(trace.positions[0], trace.velocities[0])
     t = 0.0
     for i in range(8, len(trace), 8):
-        seg = integrate(r, metric, state, trace.ts[i] - t, step_tol=1e-12, project=True)
+        seg = dp45_integrate(MetricField(r, metric), state, trace.ts[i] - t, step_tol=1e-12, project=True)
         state, t = seg.final_state(), trace.ts[i]
         err = abs(state.position - trace.positions[i])
         assert err <= (1e-9 if t <= loop else tol), (t, err)
@@ -787,7 +913,7 @@ def test_integrator_sheds_the_quadrature_launch(metric):
     assert report.succeeded
     assert report.trace.winding_count >= 20
     trace = report.trace
-    shot = _integrate(
+    shot = dp45_integrate(
         MetricField(r, metric),
         GeodesicState(trace.positions[0], trace.velocities[0]),
         120.0,
@@ -858,7 +984,7 @@ def test_quadrature_spiral_beyond_the_smallest_gap():
     # stretch, where f grows towards the boundary
     i = max(k for k in range(len(trace)) if abs(trace.positions[k]) <= 0.6)
     state = GeodesicState(trace.positions[i], trace.velocities[i])
-    seg = integrate(0.1, "s", state, trace.ts[-1] - trace.ts[i], step_tol=1e-12, project=True)
+    seg = dp45_integrate(MetricField(0.1, "s"), state, trace.ts[-1] - trace.ts[i], step_tol=1e-12, project=True)
     assert abs(seg.positions[-1] - trace.positions[-1]) <= 1e-10
 
 
@@ -872,10 +998,13 @@ def flank_circles(r):
 
 
 def test_every_spiral_is_traced_without_the_integrator(monkeypatch):
+    # spiral_trace picks its orbit by the Clairaut gap, never from a
+    # launch state through integrate
     def refuse(*args, **kwargs):
         raise AssertionError("spiral_trace called the integrator")
 
-    monkeypatch.setattr(geodesics, "_integrate", refuse)
+    monkeypatch.setattr(geodesics, "integrate", refuse)
+    monkeypatch.setattr(geodesics, "_launch_orbit", refuse)
     # an unstable waist, a launch inside the stable well, one outside it
     for r, z0 in ((0.1, 0.5), (0.02, 0.16), (0.02, 0.3)):
         assert spiral_trace(r, "s", z0, 40.0).succeeded
@@ -898,7 +1027,7 @@ def test_well_spiral_matches_the_tangential_launch(t_end, windings):
     assert report.rho_min == pytest.approx(r / z0, rel=1e-12)
     assert report.rho_max == pytest.approx(z0, rel=1e-12)
     v0 = 1j / MetricField(r, "s").density(z0)
-    shot = integrate(r, "s", GeodesicState(z0, v0), t_end, project=True)
+    shot = dp45_integrate(MetricField(r, "s"), GeodesicState(z0, v0), t_end, project=True)
     assert abs(trace.positions[-1] - shot.positions[-1]) <= 1e-7
 
 
@@ -912,7 +1041,7 @@ def test_w_regime_spiral_matches_integrator_segments(z0):
     trace = spiral_trace(r, "s", z0, 20.0).trace
     for i in range(1, len(trace)):
         state = GeodesicState(trace.positions[i - 1], trace.velocities[i - 1])
-        seg = integrate(r, "s", state, trace.ts[i] - trace.ts[i - 1], step_tol=1e-12, project=True)
+        seg = dp45_integrate(MetricField(r, "s"), state, trace.ts[i] - trace.ts[i - 1], step_tol=1e-12, project=True)
         assert abs(seg.positions[-1] - trace.positions[i]) <= 1e-9, (trace.ts[i], z0)
 
 
@@ -1025,7 +1154,7 @@ def test_curvature_matches_hardy_route_off_the_waist(r, metric):
 
 
 # ---------------------------------------------------------------------------
-# argument validation for integrate
+# argument validation for integrate, and the DP45 oracle's own errors
 
 
 def test_integrate_validates_arguments():
@@ -1048,7 +1177,7 @@ def test_integrate_validates_arguments():
 
 def test_integrator_errors_name_r():
     with pytest.raises(ConvergenceError, match=r"exceeded 5 accepted steps .*, r = 0\.3\)"):
-        _integrate(MetricField(0.3, "s"), generic_state(), 3.0, max_steps=5)
+        dp45_integrate(MetricField(0.3, "s"), generic_state(), 3.0, max_steps=5)
 
     class Jumpy:
         # the density doubles after the launch, so no step conserves speed
@@ -1060,7 +1189,7 @@ def test_integrator_errors_name_r():
             return m, 0j
 
     with pytest.raises(ConvergenceError, match=r"step size collapsed .*\(\|z\| = 0\.52, r = 0\.3\)"):
-        _integrate(Jumpy(), generic_state(), 3.0)
+        dp45_integrate(Jumpy(), generic_state(), 3.0)
 
 
 def test_integrator_rejects_steps_with_a_nan_error_norm():
@@ -1072,7 +1201,7 @@ def test_integrator_rejects_steps_with_a_nan_error_norm():
             return 1.0, complex(1e200, 0.0)
 
     with pytest.raises(ConvergenceError, match=r"step size collapsed .*, r = 0\.3\)"):
-        _integrate(Steep(), generic_state(), 3.0)
+        dp45_integrate(Steep(), generic_state(), 3.0)
 
 
 def test_trace_container_basics():

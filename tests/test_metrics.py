@@ -245,6 +245,22 @@ def test_szego_metric_wp_disc_limit():
     assert abs(got - want) <= 1e-6 * want
 
 
+@pytest.mark.parametrize("r", [1e-25, 1e-40, 1e-45])
+def test_szego_metric_wp_cancellation_is_a_range_error(r):
+    # at lambda = 0.3 the two p values agree to their last bits; it used to
+    # return 316.22918 against sample's 316.22935 at 1e-25, 12904.8 against
+    # 10000.0 at 1e-40, and raise InternalConsistencyError from 1e-45 on
+    with pytest.raises(RangeError, match=rf"\|z\| = .* with r = {r!r} cancels past 1e-9"):
+        szego_metric_wp(r, r**0.3)
+
+
+def test_szego_metric_wp_answers_within_its_rounding_bound():
+    for r in (1e-15, 1e-18):
+        for lam in (0.1, 0.3, 0.5):
+            s = sample(r, r**lam).s
+            assert szego_metric_wp(r, r**lam) == pytest.approx(s, rel=1e-9), (r, lam)
+
+
 def test_szego_metric_wp_pole_near_boundary():
     with pytest.raises(PoleError):
         szego_metric_wp(0.5, 1 - 1e-8)
@@ -471,6 +487,31 @@ def test_higher_curvature_past_double_range_is_a_range_error():
     # -4 D / (|z| c)^6 is about -6e398 at the waist of r = 1e-200
     with pytest.raises(RangeError, match=r"\|z\| = .* r = 1e-200"):
         higher_curvature(1e-200, 1e-100, 2, "caratheodory")
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_higher_curvature_with_c_past_double_range_is_a_range_error(N):
+    # next to the inner circle of r = 1e-305 c itself is past double range,
+    # which math.exp raised as a bare OverflowError
+    r = 1e-305
+    with pytest.raises(RangeError, match=r"\|z\| = .* with r = 1e-305"):
+        higher_curvature(r, r ** (1.0 - 1e-12), N, "caratheodory")
+
+
+@pytest.mark.parametrize("lam", [0.999, 0.9999])
+@pytest.mark.parametrize("entry", ["sample", "szego_kernel", "capacity_metric"])
+def test_subnormal_r_next_to_the_inner_circle_is_a_range_error(entry, lam):
+    # at r = 1e-310 the kernel's frame r^(-lambda) is past double range,
+    # which used to surface as a bare OverflowError
+    r = 1e-310
+    z = r**lam
+    call = {
+        "sample": lambda: sample(r, z),
+        "szego_kernel": lambda: hardy.szego_kernel(r, z, z),
+        "capacity_metric": lambda: capacity_metric(r, z),
+    }[entry]
+    with pytest.raises(RangeError, match=r"\|z\| = .* with r = 1e-310"):
+        call()
 
 
 # ---------------------------------------------------------------------------
