@@ -584,8 +584,6 @@ class _ClairautOrbit:
 
     def start(self, xi0: float, outward: bool) -> float:
         """The s at the offset xi0, moving towards larger xi when outward."""
-        if self.kind == "circle":
-            return 0.0
         if self.kind == "passing":
             return math.asinh(self.sense * xi0 / self.x_turn)
         if self.kind == "turning":
