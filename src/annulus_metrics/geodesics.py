@@ -14,9 +14,9 @@ quadrature of that orbit in x = log(|z| / sqrt r) (_ClairautOrbit): no
 step-by-step integration, so the two integrals hold to rounding.
 
 MetricField takes m and its gradient from Ramanujan's 1psi1 product
-for the kernel diagonal (in hardy), at the same cost at every |z|.  A
-trace escapes within ESCAPE_COLLAR of a circle or at the escape horizon
-Q_HORIZON, about 4.5e-5 (relative) from one, where the field stops.
+for the kernel diagonal (in hardy), at the same cost at every |z|, right
+up to both circles.  A trace escapes within ESCAPE_COLLAR of a circle or
+at the escape horizon Q_HORIZON, about 4.5e-5 (relative) from one.
 
 Radial structure: both densities blow up like 1/dist at the boundary,
 so f(rho) = rho * m(rho) tends to +inf at both ends and circle
@@ -74,10 +74,10 @@ TWO_PI = 2.0 * math.pi
 #: |z| within this distance of a boundary circle stops a trace as escaped.
 ESCAPE_COLLAR = 1e-9
 
-#: MetricField raises ConvergenceError past max(|z|^2, r^2/|z|^2) = this, the
-#: largest q whose pair count max(32, floor(42/l + 4 ln(42/l + 8)/l) + 1),
-#: l = -ln q, the field's former Laurent sum kept within 2^20: traces escape
-#: where they did, at the last sample inside it.
+#: a trace escapes where max(|z|^2, r^2/|z|^2) reaches this, the edge of
+#: _escape_band; the field answers past it.  It is the largest q whose pair
+#: count max(32, floor(42/l + 4 ln(42/l + 8)/l) + 1), l = -ln q, the field's
+#: former Laurent sum kept within 2^20, so escapes end where they always have.
 Q_HORIZON = 0.999910148850554
 
 #: e^-pi, the square lattice omega1 = pi, below which the waist of s is stable
@@ -184,7 +184,8 @@ class MetricField:
         c = e^K,              d/dz log c^2 = 2 K' / z,
         s = sqrt(K'') / |z|,  d/dz log s^2 = (K''' / K'' - 1) / z.
 
-    Points past Q_HORIZON raise ConvergenceError (see Q_HORIZON).
+    It answers at every point of the open annulus; RangeError where m is
+    past double range.
     """
 
     def __init__(self, r: float, metric: str):
@@ -194,30 +195,20 @@ class MetricField:
         self.metric = metric
         self._product = _DiagonalProduct(self.r)
 
-    def _at(self, rho: float) -> _DiagonalProduct:
-        """The product, for a radius inside the escape horizon."""
-        q = max(rho * rho, (self.r / rho) ** 2)
-        if q > Q_HORIZON:
-            raise ConvergenceError(
-                f"density field stops at the escape horizon: |z| = {rho!r} with r = {self.r!r}"
-                f" gives max(|z|^2, r^2/|z|^2) = {q!r} > Q_HORIZON = {Q_HORIZON!r}"
-            )
-        return self._product
-
     def density_and_log_gradient(self, z: complex) -> tuple:
         """Return (m(z), d/dz log m(z)^2)."""
         z = check_point(self.r, z)
         rho = abs(z)
         phase = complex(z.real / rho, -z.imag / rho)  # e^{-i arg z}
         if self.metric == "c":
-            k0, k1 = self._at(rho).jet(rho, (0, 1))
+            k0, k1 = self._product.jet(rho, (0, 1))
             try:
                 m = math.exp(k0)
             except OverflowError:
                 m = math.inf
             g = 2.0 * phase * (k1 / rho)
         else:
-            k2, k3_less_k2 = self._at(rho).jet(rho, (2, 3))
+            k2, k3_less_k2 = self._product.jet(rho, (2, 3))
             if not k2 > 0.0:
                 raise InternalConsistencyError(
                     f"log-kernel Laplacian came out nonpositive ({k2})"
@@ -241,9 +232,9 @@ class MetricField:
         _DiagonalProduct.szego gives, as it does for sample.
         """
         if self.metric == "c":
-            k0, k2 = self._at(rho).jet(rho, (0, 2))
+            k0, k2 = self._product.jet(rho, (0, 2))
             return -4.0 * k2 / (rho * math.exp(k0)) ** 2
-        return self._at(rho).szego(rho)[1]
+        return self._product.szego(rho)[1]
 
 
 def _bracketed_root(f, a: float, b: float, xtol: float) -> float | None:
@@ -334,32 +325,48 @@ def _gap_factor(coeffs: tuple, y: float, yt: float) -> float:
     return acc
 
 
-def _local_model(field: MetricField, centre: float, f_c: float, kappa: float) -> tuple:
-    """Coefficients P of the model f - f_c = v P(v) about a critical circle of f.
+def _x_model(r: float) -> float:
+    """Offset from a critical circle within which its local model stands in for f.
 
-    Here f(x) = rho m(rho) at rho = sqrt(r) e^x and xi = x - centre.  At
-    the waist (centre 0) the inversion symmetry makes f even and v = xi^2;
-    at a flank circle of the W regime v = xi and P_0 = 0, so that
-    f - f_c = xi^2 (P_1 + P_2 xi + ...) has odd terms.  For a radial metric
-    kappa = -f''/f_c^3 at a critical point, so the xi^2 coefficient
-    a/2 = -kappa f_c^3 / 2 comes from the curvature alone.  The rest are a
-    least-squares fit to direct differences f - f_c on (0, X/20] (waist)
-    or [-X/20, X/20] (flank), X = log(1/sqrt r) being the distance from
-    the waist to the boundary singularities of f.
+    A quarter of the model's fit range h = min(X/20, 0.1), X = log(1/sqrt r)
+    being the distance from the waist to the boundary singularities of f:
+    f changes on a scale of order 1 in x, over which nine terms would not
+    hold it to rounding.
     """
-    rs = math.sqrt(field.r)
-    power = 2 if centre == 0.0 else 1
-    x_fit = -0.025 * math.log(field.r)
-    xs = x_fit * np.cos(np.pi * (np.arange(24 // power) + 0.5) / 24.0)
-    g = np.array([rs * math.exp(x) * field.density(rs * math.exp(x)) for x in centre + xs]) - f_c
-    a_half = -0.5 * kappa * f_c**3
-    vn = (xs / x_fit) ** power
-    design = np.vstack([vn**k for k in range(1, 1 + 8 // power)]).T
-    fit, *_ = np.linalg.lstsq(design, g / (xs * xs) - a_half, rcond=None)
-    coeffs = (a_half,) + tuple(float(q) / x_fit ** (power * k) for k, q in enumerate(fit, 1))
-    return coeffs if power == 2 else (0.0,) + coeffs
+    return 0.25 * min(-0.025 * math.log(r), 0.1)
 
 
+def _local_model(field: MetricField, x: float, h: float, base: float, side: float = 1.0,
+                 kappa: float | None = None) -> tuple:
+    """Coefficients P of the least-squares model f - base = u P(u) about x.
+
+    f is rho m(rho) at rho = sqrt(r) e^(side (x + d)), taken at the 24
+    Chebyshev points d of [-h, h] and fit by lstsq, so that the rounding
+    of f - base spreads over the fit instead of growing like 1/d; u = d
+    and P has nine terms.  About a critical circle of f with curvature
+    kappa, base = f_c and the d^2 coefficient a = -kappa f_c^3 / 2 comes
+    from the curvature alone (kappa = -f''/f_c^3 for a radial metric), so
+    the fit is of (f - f_c)/d^2 - a.  At the waist (x = 0) the inversion
+    symmetry makes f even: u = d^2 on the 12 positive points and P_0 = a.
+    At a flank circle of the W regime u = d and P_0 = 0, so that f - f_c =
+    d^2 (P_1 + P_2 d + ...) has odd terms.
+    """
+    power = 2 if x == 0.0 and kappa is not None else 1
+    d = h * np.cos(np.pi * (np.arange(24 // power) + 0.5) / 24.0)
+    xs = side * (x + d)
+    # e^x point by point about a circle and in one array call about a turn,
+    # as their traces have always taken it: the two differ in the last bit
+    # at some points
+    es = np.exp(xs) if kappa is None else np.array([math.exp(xk) for xk in xs])
+    g = np.array([rho * field.density(rho) for rho in math.sqrt(field.r) * es]) - base
+    lead, terms = (), 9
+    if kappa is not None:
+        a = -0.5 * kappa * base**3
+        g = g / (d * d) - a
+        lead, terms = (a,) if power == 2 else (0.0, a), 8 // power
+    u = (d / h) ** power
+    fit, *_ = np.linalg.lstsq(np.vstack([u**k for k in range(1, terms + 1)]).T, g, rcond=None)
+    return lead + tuple(float(q) / h ** (power * k) for k, q in enumerate(fit, 1))
 
 
 class _ClairautOrbit:
@@ -386,23 +393,27 @@ class _ClairautOrbit:
         the gap f_c - c: xi = sense x_t sinh(s), the mirror of turning,
         with x_t where a turning orbit at the mirrored gap would turn.
 
-    x_t is given where the caller knows it: a tangential launch turns at
-    its own offset, and turns past the model below come from the field.
-    Otherwise v_t = x_t^2 at the waist, x_t at a flank, solves v P(v) =
-    c - f_c (f_c - c when passing).  The default orbit is the turning one
-    at the smallest gap, c = f_c + WAIST_GAP, that spiral_trace follows.
+    The orbit is given by its gap c - f_c, which carries WAIST_GAP where
+    f_c + WAIST_GAP rounds back to f_c.  x_t is given where the caller
+    knows it: a tangential launch turns at its own offset, and turns past
+    the model below come from the field.  Otherwise v_t = x_t^2 at the
+    waist, x_t at a flank, solves v P(v) = c - f_c (f_c - c when passing).
 
-    Where xi and x_t lie within X/80 of the circle, f comes from the model
-    v P(v) of _local_model and f - c from (v - v_t) times _gap_factor, or
-    from the gap plus v P(v) when passing, so the gap is never subtracted
-    from anything; elsewhere f comes from the field, good to about 1e-12
-    in f - c.  tol is the panel tolerance (see pair, and the well's
+    Where xi and x_t lie within _x_model of the circle, f comes from the
+    model v P(v) of _local_model and f - c from (v - v_t) times
+    _gap_factor, or from the gap plus v P(v) when passing, so the gap is
+    never subtracted from anything.  A turn past that range gets its own
+    _local_model of f - c, fit and used within _x_model of the turn (at
+    most a quarter of the way to the boundary singularity of f), where
+    the field alone would give the difference of two values that agree to
+    their last bits.  Elsewhere f comes from the field, good to about
+    1e-12 in f - c.  tol is the panel tolerance (see pair, and the well's
     panel count).
     """
 
     def __init__(
-        self, field, side, centre, f_c, coeffs, kind="turning", c=None, x_turn=None,
-        sense=1.0, tol=1e-10, rho0=None,
+        self, field, side, centre, f_c, coeffs, kind, gap, x_turn=None, sense=1.0, tol=1e-10,
+        rho0=None,
     ):
         self.field = field
         self.side = side
@@ -413,15 +424,15 @@ class _ClairautOrbit:
         self.sense = sense
         self.tol = tol
         self.power = 2 if centre == 0.0 else 1
-        self.x_model = -0.00625 * math.log(field.r)
+        self.x_model = _x_model(field.r)
         self.limits = _escape_band(field.r)
-        # the gap c - f_c, which WAIST_GAP sets below the last bit of f_c
-        gap = WAIST_GAP if c is None else c - f_c
         self.c = f_c + gap
         if x_turn is None:
             x_turn = self._model_offset(-gap if kind == "passing" else gap, rho0)
         self.x_turn = x_turn
-        self.turn_model = self._turn_model() if kind in ("turning", "well") and x_turn > self.x_model else None
+        self.turn_h = min(self.x_model, 0.25 * (-0.5 * math.log(field.r) - centre - x_turn))
+        turns = kind in ("turning", "well") and x_turn > self.x_model
+        self.turn_model = _local_model(field, centre + x_turn, self.turn_h, self.c, side) if turns else None
         self.ds = self.period = None
         if kind == "well":
             # equal panels, a whole number per half period, doubled until its
@@ -451,15 +462,17 @@ class _ClairautOrbit:
         # negative, as is the target, in the well of a stable waist
         p0, p1 = self.coeffs[0], self.coeffs[1]
         den = p0 + math.copysign(math.sqrt(p0 * p0 + 4.0 * p1 * target), target)
-        if not (den != 0.0 and (den > 0.0) == (target > 0.0)):
-            # at a flank circle P_0 = 0, and 4 P_1 WAIST_GAP underflows to 0 for tiny P_1
+        if den != 0.0 and (den > 0.0) == (target > 0.0):
+            root = math.sqrt(2.0 * abs(target)) / math.sqrt(abs(den))
+        elif p0 == 0.0 and target / p1 > 0.0:
+            # a flank circle where 4 P_1 WAIST_GAP underflows: P_1 v^2 = target
+            root = math.sqrt(math.sqrt(target / p1))
+        else:
             raise ConvergenceError(
                 f"the orbit from |z0| = {rho0!r} with r = {self.field.r!r} turns closer to"
                 f" the circle |z| = {math.sqrt(self.field.r) * math.exp(self.side * self.centre)!r}"
-                f" than double precision resolves: P_0 = {p0!r},"
-                f" 4 P_1 gap = {4.0 * p1 * target!r}"
+                f" than double precision resolves: P_0 = {p0!r}, P_1 = {p1!r}, gap = {target!r}"
             )
-        root = math.sqrt(2.0 * abs(target)) / math.sqrt(abs(den))
         v = root * root
         if abs(self.coeffs[2]) * v * v * v > 1e-17 * abs(target):
             # a Newton polish on the whole polynomial, where its higher terms
@@ -469,26 +482,6 @@ class _ClairautOrbit:
                 v -= (v * _poly(self.coeffs, v) - target) / _poly(slope, v)
             root = math.sqrt(v)
         return root if self.power == 2 else root * root
-
-    def _turn_model(self) -> tuple:
-        """Coefficients D of f - c = delta D(delta) about a turn past the model.
-
-        delta = |xi| - x_t is the offset from the turn, where f - c from
-        the field would be the difference of two values that agree to
-        their last bits.  D is a least-squares fit to those differences on
-        [-h, h], so their rounding spreads over the fit instead of growing
-        like 1/delta.  h is X/80, but at most a quarter of the way to the
-        boundary singularity of f and at most 0.1: f changes on a scale of
-        order 1 in x, over which nine terms would not hold it to rounding.
-        """
-        h = self.turn_h = min(self.x_model, 0.1, 0.25 * (-0.5 * math.log(self.field.r) - self.centre - self.x_turn))
-        deltas = h * np.cos(np.pi * (np.arange(24) + 0.5) / 24.0)
-        rs = math.sqrt(self.field.r)
-        rhos = rs * np.exp(self.side * (self.centre + self.x_turn + deltas))
-        gaps = np.array([rho * self.field.density(rho) for rho in rhos]) - self.c
-        design = np.vstack([(deltas / h) ** k for k in range(1, 10)]).T
-        fit, *_ = np.linalg.lstsq(design, gaps, rcond=None)
-        return tuple(float(q) / h**k for k, q in enumerate(fit, 1))
 
     def xi_at(self, rho: float) -> float:
         return self.side * math.log(rho / math.sqrt(self.field.r)) - self.centre
@@ -526,7 +519,8 @@ class _ClairautOrbit:
             w = math.sqrt((abs(xi) + x_t) / (d * (f + self.c) * (-1.0 if self.kind == "well" else 1.0)))
         else:
             # the rounding of x, which grows with |x| and with s, must not
-            # carry an evaluation at the edge of an escape past the horizon
+            # carry an evaluation at an exit past the edge of the escape band,
+            # nor out of the annulus where that edge is ESCAPE_COLLAR from r
             rho = min(max(math.sqrt(self.field.r) * math.exp(x), self.limits[0]), self.limits[1])
             f = rho * self.field.density(rho)
             gap = (f - self.c) * (f + self.c)
@@ -728,16 +722,20 @@ def _clairaut_trace(
     )
 
 
-def _launch_orbit(field: MetricField, z0: complex, v0: complex, tol: float) -> tuple:
-    """(orbit, s at z0, metric speed, turn) of the geodesic from (z0, v0).
+def _choose_orbit(
+    field: MetricField, rho1: float, rho0: float, moving: float, tangential: bool, tol: float,
+    c: float | None = None, gap: float | None = None,
+) -> tuple:
+    """(orbit, s at |z0| = rho0) of a geodesic through |z0| with sign(dx/dt) = moving.
 
-    The speed E = m |v0| and the Clairaut constant c = L / E fix the
-    orbit, |c| = f(|z0|) cos(psi) for the tilt psi of v0 from the
-    tangent.  A launch is tangential when its radial part is below the
-    rounding of |v0|; one within the solve's tolerance of a critical
-    circle is that circle.  Otherwise the family (see _ClairautOrbit)
-    follows from where |z0| lies and how |c| compares with f on the
-    circles (module docstring):
+    rho1 is a critical circle at the minimum of f, the waist sqrt(r)
+    when that is the only circle.  The orbit has Clairaut constant c,
+    or f(rho1) + gap where its gap above that minimum is given exactly
+    (spiral_trace's WAIST_GAP rounds away in c).  A tangential launch (c =
+    f(rho0)) within the flank solve's tolerance of a critical circle is
+    that circle.  Otherwise the family (see _ClairautOrbit) follows from
+    where |z0| lies and how c compares with f on the circles (module
+    docstring):
 
       * U regime: turning at the waist above its level, passing below;
       * W regime, between the flank circles: the well above their level,
@@ -747,72 +745,60 @@ def _launch_orbit(field: MetricField, z0: complex, v0: complex, tol: float) -> t
 
     A tangential launch turns at its own offset.  Any other turn comes
     from the local model of the circle when the gap |c - f_c| is within
-    the change of f across the model, else from a bisection of f = |c|
-    on the field between the model's edge and z0 (the flank circle, for
-    the well).
+    the change of f across the model, else from a bisection of f = c on
+    the field between the model's edge and z0 (the flank circle, for the
+    well).
     """
-    r = field.r
-    rs = math.sqrt(r)
-    rho0 = abs(z0)
-    m0 = field.density(z0)
-    f0 = rho0 * m0
-    w = (z0 / rho0).conjugate() * v0  # radial + i tangential velocity
-    tangential = abs(w.imag) == abs(w)
-    c = f0 if tangential else f0 * abs(w.imag) / abs(w)
-    speed, turn = m0 * abs(v0), math.copysign(1.0, w.imag)
+    rs = math.sqrt(field.r)
     x0 = math.log(rho0 / rs)
     ax0 = abs(x0)
+    x1 = abs(math.log(rho1 / rs))  # 0 when the waist is the only circle
     side = -1.0 if x0 < 0.0 else 1.0
-    moving = math.copysign(1.0, w.real)  # sign of dx/dt
-    x1 = abs(math.log(_closed_circle(field).rho_star / rs))  # 0 when the waist is the only circle
-    x_model = -0.00625 * math.log(r)
+    x_model = _x_model(field.r)
 
     def f_at(x: float) -> float:
         rho = rs * math.exp(x)
         return rho * field.density(rho)
 
-    def orbit(kind, side, centre, xi0, x_turn=None, sense=1.0, bracket=None):
-        f_c = f_at(centre)
-        coeffs = None
-        if x_turn is None and abs(c - f_c) > (reach := abs(f_at(centre + x_model) - f_c)):
+    def orbit(kind, side, centre, f_c, gap, xi0, x_turn=None, sense=1.0, bracket=None):
+        if x_turn is None and abs(gap) > (reach := abs(f_at(centre + x_model) - f_c)):
             # the gap is past what f covers across the model
             if kind == "passing":
-                x_turn = x_model * math.sqrt(abs(c - f_c) / reach)
+                x_turn = x_model * math.sqrt(abs(gap) / reach)
             else:
                 x_turn = _bracketed_root(lambda xi: f_at(side * (centre + xi)) - c, *bracket, 0.0)
                 if x_turn is None:
                     raise InternalConsistencyError(
-                        f"no turn of the orbit from |z0| = {rho0!r} with r = {r!r} in {bracket!r}"
+                        f"no turn of the orbit from |z0| = {rho0!r} with r = {field.r!r} in {bracket!r}"
                     )
+        coeffs = None
         if x_turn is None or x_turn <= x_model:
-            coeffs = _local_model(field, centre, f_c, field.curvature(rs * math.exp(centre)))
-        o = _ClairautOrbit(field, side, centre, f_c, coeffs, kind, c, x_turn, sense, tol, rho0)
+            kappa = field.curvature(rs * math.exp(centre))
+            coeffs = _local_model(field, centre, 4.0 * x_model, f_c, kappa=kappa)
+        o = _ClairautOrbit(field, side, centre, f_c, coeffs, kind, gap, x_turn, sense, tol, rho0)
         return o, o.start(xi0, side * moving > 0.0)
 
     if tangential and min(ax0, abs(ax0 - x1)) <= _CIRCLE_XTOL:
-        o = _ClairautOrbit(field, side, ax0, f0, None, "circle", c, 0.0, tol=tol)
-        return o, 0.0, speed, turn
+        return _ClairautOrbit(field, side, ax0, c, None, "circle", 0.0, 0.0, tol=tol), 0.0
     level = f_at(x1)  # the minimum of f: the waist in the U regime, else a flank
-    if ax0 < x1 and (tangential or c > level):
-        o, s = orbit("well", side, 0.0, ax0, ax0 if tangential else None,
+    c, gap = (c, c - level) if gap is None else (level + gap, gap)
+    if ax0 < x1 and (tangential or gap > 0.0):
+        f_w = f_at(0.0)
+        return orbit("well", side, 0.0, f_w, c - f_w, ax0, ax0 if tangential else None,
                      bracket=(max(ax0, x_model), x1))
-        return o, (0.5 * math.pi if tangential else s), speed, turn
-    if tangential or c > level:
-        o, s = orbit("turning", side, x1, ax0 - x1, ax0 - x1 if tangential else None,
+    if tangential or gap > 0.0:
+        return orbit("turning", side, x1, level, gap, ax0 - x1, ax0 - x1 if tangential else None,
                      bracket=(x_model, ax0 - x1))
-        return o, (0.0 if tangential else s), speed, turn
     # passing, at the circle the orbit reaches first (the waist itself in the U regime)
     ahead = [xc for xc in (-x1, x1) if (xc - x0) * moving > 0.0] or [math.copysign(x1, x0)]
     xc = min(ahead, key=lambda xc: abs(xc - x0))
     side = moving if x1 == 0.0 else math.copysign(1.0, xc)
-    o, s = orbit("passing", side, x1, side * x0 - x1, sense=side * moving)
-    return o, s, speed, turn
+    return orbit("passing", side, x1, level, gap, side * x0 - x1, sense=side * moving)
 
 
 def _escape_band(r: float) -> tuple:
     """Radii where a trace escapes: ESCAPE_COLLAR from a circle, or a
-    relative 1e-15 inside the escape horizon, so that the field answers
-    at every sample."""
+    relative 1e-15 inside the escape horizon Q_HORIZON."""
     q = math.sqrt(Q_HORIZON)
     return max(r + ESCAPE_COLLAR, r / q * (1.0 + 1e-15)), min(1.0 - ESCAPE_COLLAR, q * (1.0 - 1e-15))
 
@@ -827,7 +813,7 @@ def integrate(
     """Trace the geodesic from the given state for parameter length t_end.
 
     The launch state fixes the speed E = m |v0| and the Clairaut constant
-    c = L / E, and with them the orbit (_launch_orbit), which is traced by
+    c = L / E, and with them the orbit (_choose_orbit), which is traced by
     Clairaut quadrature (_ClairautOrbit) at 8-point Gauss-Legendre panels,
     a sample at each panel end, about 64 per 2 pi of angle swept (see
     _ClairautOrbit.pair).  step_tol in (0, 1e-3] is the panel
@@ -841,8 +827,8 @@ def integrate(
 
     The trace stops early, with escaped=True, where the orbit comes
     within ESCAPE_COLLAR of a boundary circle or reaches the escape
-    horizon Q_HORIZON, past which the field stops; every sample is a
-    point where MetricField answers.
+    horizon Q_HORIZON.  A launch already past either is returned alone,
+    as an escaped trace.
     """
     field = MetricField(r, metric)
     z0 = check_point(field.r, initial.position, "z0")
@@ -852,15 +838,22 @@ def integrate(
     check_t_end(t_end)
     if not (0.0 < step_tol <= 1e-3):
         raise DomainError(f"step_tol must lie in (0, 1e-3], got {step_tol!r}")
+    rho0 = abs(z0)
+    m0 = field.density(z0)
     band = _escape_band(field.r)
-    if not band[0] < abs(z0) < band[1]:
+    if not band[0] < rho0 < band[1]:
         # already escaped: for r below about 1e-9 that is the whole waist
-        m0 = field.density(z0)
         return _trace_from_samples(
             [0.0], [z0], [v0], [m0 * abs(v0)], [0.0],
             escaped=True, band_exit=None, energy_drift=0.0, angular_drift=0.0,
         )
-    orbit, s, speed, turn = _launch_orbit(field, z0, v0, step_tol)
+    # |c| = f(|z0|) cos(psi) for the tilt psi of v0 from the tangent; the
+    # launch is tangential when its radial part is below the rounding of |v0|
+    w = (z0 / rho0).conjugate() * v0  # radial + i tangential velocity
+    tangential = abs(w.imag) == abs(w)
+    c = rho0 * m0 if tangential else rho0 * m0 * abs(w.imag) / abs(w)
+    orbit, s = _choose_orbit(field, _closed_circle(field).rho_star, rho0, math.copysign(1.0, w.real), tangential, step_tol, c)
+    speed, turn = m0 * abs(v0), math.copysign(1.0, w.imag)
     return _clairaut_trace(orbit, s, z0, t_end, band, v0, speed, turn, escape=True).trace
 
 
@@ -873,8 +866,9 @@ def spiral_trace(
 ) -> SpiralReport:
     """Trace a winding, non-closing geodesic through z0 confined to a band.
 
-    Every spiral is an orbit chosen by its Clairaut constant and traced
-    by quadrature (see _ClairautOrbit), at the panel tolerance 1e-10.
+    Every spiral is an orbit chosen by its Clairaut constant
+    (_choose_orbit) and traced by quadrature (see _ClairautOrbit), at the
+    panel tolerance 1e-10.
     Which orbit depends on the regime of the module docstring, that is
     on metric and SQUARE_R:
 
@@ -918,24 +912,15 @@ def spiral_trace(
         raise DomainError(f"band {band!r} must be strictly inside the annulus")
     if not (band[0] < rho0 < band[1]):
         raise DomainError(f"z0 = {z0!r} lies outside the band {band!r}")
-    # the orbit can only be traced up to the escape horizon
+    # a trace escapes at the escape horizon
     lo, hi = _escape_band(field.r)
     band = (max(band[0], lo), min(band[1], hi))
 
-    # the orbit turns at the waist, oscillates in the well between the
-    # flank circles at |x| = x1, or turns at the nearer flank circle
-    x0 = abs(math.log(rho0 / rs))
-    x1 = abs(math.log(circles[-1] / rs))  # 0 when the waist is the only circle
-    x_c = x1 if x0 > x1 else 0.0
-    rho_c = rs * math.exp(x_c)
-    f_c = rho_c * field.density(rho_c)
-    coeffs = _local_model(field, x_c, f_c, field.curvature(rho_c))
-    side = 1.0 if rho0 > rs else -1.0
-    if x0 < x1:
-        rho_t = rs * math.exp(side * x0)
-        orbit = _ClairautOrbit(field, side, 0.0, f_c, coeffs, "well", rho_t * field.density(rho_t), x0)
-        s = 0.5 * math.pi
+    if min(circles) < rho0 < max(circles):
+        # the tangential launch in the well between the flank circles
+        orbit, s = _choose_orbit(field, circles[-1], rho0, 1.0, True, 1e-10, rho0 * field.density(z0))
     else:
-        orbit = _ClairautOrbit(field, side, x_c, f_c, coeffs, rho0=rho0)
-        s = orbit.start(x0 - x_c, False)
+        # the turn at the smallest gap, heading for the nearer minimum of f
+        moving = -1.0 if rho0 > rs else 1.0
+        orbit, s = _choose_orbit(field, circles[-1], rho0, moving, False, 1e-10, gap=WAIST_GAP)
     return _clairaut_trace(orbit, s, z0, t_end, band)

@@ -344,6 +344,17 @@ def test_geodesic_launch_outside_annulus_exit_2(capsys):
     assert "r < |z0| < 1" in err
 
 
+def test_geodesic_launch_past_the_horizon_is_an_escaped_trace(capsys):
+    code, out, _ = run_cli(
+        capsys, "geodesic", "--r", "0.5", "--metric", "c",
+        "--z0", "0.99999", "--t-end", "1",
+    )
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    assert len(rows) == 1
+    assert any("escaped=true" in m for m in meta)
+
+
 def test_geodesic_past_the_product_cap_exit_3(capsys):
     code, _, err = run_cli(capsys, "geodesic", "--r", "0.999999", "--metric", "s", "--closed")
     assert code == 3

@@ -3,7 +3,6 @@ checked against the DP45 oracle of conftest."""
 
 import cmath
 import math
-import re
 
 import mpmath
 import numpy as np
@@ -21,11 +20,12 @@ from annulus_metrics.geodesics import (
     _ClairautOrbit,
     _gap_factor,
     _local_model,
+    _x_model,
     find_closed_geodesic,
     integrate,
     spiral_trace,
 )
-from annulus_metrics.hardy import szego_kernel_jet
+from annulus_metrics.hardy import _DiagonalProduct, _poly, szego_kernel_jet
 from annulus_metrics.jets import jet_log
 from annulus_metrics.metrics import sample
 from conftest import _A, _B4, _B5, dp45_integrate, geodesic_rhs
@@ -126,12 +126,6 @@ def test_field_rejects_bad_arguments():
         field.density(0.3)
 
 
-def test_field_raises_convergence_at_hard_cap():
-    field = MetricField(0.3, "c")
-    with pytest.raises(ConvergenceError):
-        field.density(1.0 - 1e-8)
-
-
 def test_horizon_is_where_the_laurent_pair_count_hit_the_cap():
     # the a-priori pair count of the former Laurent field; Q_HORIZON is the
     # largest q whose count stays within the cap of 2^20 pairs
@@ -150,29 +144,30 @@ def test_horizon_is_where_the_laurent_pair_count_hit_the_cap():
 
 @pytest.mark.parametrize("metric", ["c", "s"])
 @pytest.mark.parametrize("r", [0.1, 0.5])
-def test_field_answers_up_to_the_horizon_and_raises_past_it(r, metric):
+def test_field_answers_past_the_horizon_and_next_to_both_circles(r, metric):
+    # the horizon is where traces escape, not where the field stops: one ulp
+    # past it on either side, and 1e-9 from either circle, the field is the
+    # product's jet, bit for bit
     field = MetricField(r, metric)
+    product = _DiagonalProduct(r)
 
-    def q(rho):
-        return max(rho * rho, (r / rho) ** 2)
+    def first_past(rho, circle):
+        # the first double past the horizon on the way from rho to the circle
+        while max(rho * rho, (r / rho) ** 2) > geodesics.Q_HORIZON:
+            rho = math.nextafter(rho, math.sqrt(r))
+        while max(rho * rho, (r / rho) ** 2) <= geodesics.Q_HORIZON:
+            rho = math.nextafter(rho, circle)
+        return rho
 
-    # last radius inside the horizon at each circle, and its neighbour past it
-    outer = math.sqrt(geodesics.Q_HORIZON)
-    while q(outer) > geodesics.Q_HORIZON:
-        outer = math.nextafter(outer, 0.0)
-    while q(math.nextafter(outer, 1.0)) <= geodesics.Q_HORIZON:
-        outer = math.nextafter(outer, 1.0)
-    inner = r / math.sqrt(geodesics.Q_HORIZON)
-    while q(inner) > geodesics.Q_HORIZON:
-        inner = math.nextafter(inner, 1.0)
-    while q(math.nextafter(inner, 0.0)) <= geodesics.Q_HORIZON:
-        inner = math.nextafter(inner, 0.0)
-    for inside, past in ((outer, math.nextafter(outer, 1.0)), (inner, math.nextafter(inner, 0.0))):
-        m, g = field.density_and_log_gradient(inside)
-        assert math.isfinite(m) and m > 0.0 and cmath.isfinite(g)
-        message = rf"\|z\| = {re.escape(repr(past))} with r = {r!r} .* > Q_HORIZON"
-        with pytest.raises(ConvergenceError, match=message):
-            field.density(past)
+    q = math.sqrt(geodesics.Q_HORIZON)
+    for rho in (first_past(q, 1.0), first_past(r / q, r), 1.0 - 1e-9, r * (1.0 + 1e-9)):
+        if metric == "c":
+            k0, k1 = product.jet(rho, (0, 1))
+            expected = (math.exp(k0), 2.0 * complex(1.0, -0.0) * (k1 / rho))
+        else:
+            k2, k3_less_k2 = product.jet(rho, (2, 3))
+            expected = (math.sqrt(k2) / rho, complex(1.0, -0.0) * (k3_less_k2 / k2 / rho))
+        assert field.density_and_log_gradient(rho) == expected, rho
 
 
 @pytest.mark.parametrize("metric", ["c", "s"])
@@ -579,6 +574,26 @@ def test_integrate_holds_both_integrals_away_from_the_boundary(r, metric, rho, p
         assert abs(m * m * (z.conjugate() * v).imag - l0) <= 1e-12 * max(abs(l0), 1e-3 * e0 * abs(z0) * m)
 
 
+def test_integrate_holds_a_well_orbit_at_small_r():
+    # the tangential launch at 1.1 sqrt(r) turns past the waist model, whose
+    # fit range is capped at 0.1: the turn gets its own model
+    r = 1e-10
+    rho = 1.1 * math.sqrt(r)
+    v0 = 1j / MetricField(r, "s").density(rho)
+    trace = integrate(r, "s", GeodesicState(rho, v0), 10.0)
+    assert not trace.escaped and trace.ts[-1] == 10.0
+    assert trace.energy_drift <= 1e-13
+    assert trace.angular_drift <= 1e-13
+
+
+def test_integrate_returns_a_launch_past_the_horizon_alone():
+    # the field answers there; the trace has already escaped
+    trace = integrate(0.5, "c", GeodesicState(0.99999, 1j), 1.0)
+    assert trace.escaped and trace.band_exit is None
+    assert trace.positions == (0.99999,) and trace.ts == (0.0,)
+    assert trace.speeds == (MetricField(0.5, "c").density(0.99999),)
+
+
 @pytest.mark.parametrize("r", [0.05, 0.3])
 @pytest.mark.parametrize("metric", ["c", "s"])
 def test_integrate_samples_are_points_where_the_field_answers(r, metric):
@@ -772,11 +787,21 @@ def test_spiral_rejects_degenerate_launches():
         spiral_trace(0.1, "s", 0.5, 0.0)
 
 
-def test_spiral_turn_below_double_precision_is_a_convergence_error():
-    # at r = 1e-100 the turn offset's 4 P_1 WAIST_GAP underflows to 0, which
-    # used to divide by zero; the error comes before any panel is summed
-    with pytest.raises(ConvergenceError, match=r"\|z0\| = 0\.5 with r = 1e-100 "):
-        spiral_trace(1e-100, "s", 0.5, 40.0)
+@pytest.mark.parametrize("r", [1e-100, 1e-200, 1e-300])
+def test_flank_turn_where_the_quadratic_form_underflows(r):
+    # P_0 = 0 at a flank circle, and 4 P_1 WAIST_GAP underflows to 0 from r
+    # of about 1e-100, so P_1 v^2 = WAIST_GAP is solved as it stands; the
+    # orbit heads for the inner flank and leaves the default band at its
+    # inner edge, as it does at r = 1e-20 and 1e-50.  With x_t about 1e-154
+    # the launch and exit samples sit at s of about 355, whose rounding
+    # moves xi = x_t cosh(s) by eps 355 xi, xi < ln(1/r)/2, against their
+    # fixed radii: that bounds the drift
+    report = spiral_trace(r, "s", 0.5, 40.0)
+    trace = report.trace
+    assert trace.band_exit == "inner"
+    assert abs(trace.positions[-1]) == pytest.approx(r + 0.02, rel=1e-12)
+    assert trace.energy_drift <= 4e-14 * -math.log(r)
+    assert trace.angular_drift <= 4e-14 * -math.log(r)
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +834,7 @@ def waist_coefficients(r, metric):
     field = MetricField(r, metric)
     rs = math.sqrt(r)
     f_star = rs * field.density(rs)
-    return field, f_star, _local_model(field, 0.0, f_star, field.curvature(rs))
+    return field, f_star, _local_model(field, 0.0, 4.0 * _x_model(r), f_star, kappa=field.curvature(rs))
 
 
 @pytest.mark.parametrize("metric", ["c", "s"])
@@ -858,11 +883,11 @@ def test_turning_point_does_not_divide_by_the_waist_coefficient():
     # comes from the x^4 term, x_t = (gap / P_1)^(1/4)
     field, f_star, coeffs = waist_coefficients(0.1, "s")
     for a_half in (0.0, 1e-200, coeffs[0]):
-        orbit = _ClairautOrbit(field, 1.0, 0.0, f_star, (a_half,) + coeffs[1:])
+        orbit = _ClairautOrbit(field, 1.0, 0.0, f_star, (a_half,) + coeffs[1:], "turning", WAIST_GAP)
         yt = orbit.x_turn**2
         assert math.isfinite(orbit.x_turn) and orbit.x_turn > 0.0
         assert yt * (a_half + coeffs[1] * yt) == pytest.approx(WAIST_GAP, rel=1e-12)
-    flat = _ClairautOrbit(field, 1.0, 0.0, f_star, (0.0,) + coeffs[1:])
+    flat = _ClairautOrbit(field, 1.0, 0.0, f_star, (0.0,) + coeffs[1:], "turning", WAIST_GAP)
     assert flat.x_turn == pytest.approx((WAIST_GAP / coeffs[1]) ** 0.25, rel=1e-12)
     # there f - c = P_1 (x^2 - x_t^2)(x^2 + x_t^2) + ..., so at the turn
     # dt/ds = f*^2 / sqrt(2 P_1 x_t^2 * 2 f*)
@@ -999,15 +1024,23 @@ def flank_circles(r):
 
 def test_every_spiral_is_traced_without_the_integrator(monkeypatch):
     # spiral_trace picks its orbit by the Clairaut gap, never from a
-    # launch state through integrate
+    # launch state through integrate, and builds it where integrate does
     def refuse(*args, **kwargs):
         raise AssertionError("spiral_trace called the integrator")
 
+    built = []
+    choose = geodesics._choose_orbit
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return choose(*args, **kwargs)
+
     monkeypatch.setattr(geodesics, "integrate", refuse)
-    monkeypatch.setattr(geodesics, "_launch_orbit", refuse)
+    monkeypatch.setattr(geodesics, "_choose_orbit", counted)
     # an unstable waist, a launch inside the stable well, one outside it
     for r, z0 in ((0.1, 0.5), (0.02, 0.16), (0.02, 0.3)):
         assert spiral_trace(r, "s", z0, 40.0).succeeded
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("t_end, windings", [(80.0, 24), (150.0, 44)])
@@ -1120,6 +1153,34 @@ def test_flank_spiral_at_small_r(r):
     assert report.trace.angular_drift <= 1e-7
 
 
+@pytest.mark.parametrize("r", [1e-3, 1e-12, 1e-18, 1e-30])
+@pytest.mark.parametrize("metric, flank", [("c", False), ("s", False), ("s", True)])
+def test_circle_models_hold_f_where_they_are_used(r, metric, flank):
+    # the c waist, the s waist and the inner s flank, fit on 4 _x_model and
+    # used within _x_model, against the field; at the inner flank the model
+    # of the outer one stands in by the inversion symmetry
+    field = MetricField(r, metric)
+    rs = math.sqrt(r)
+    x_c = math.log(rs / find_closed_geodesic(r, "s").rho_star) if flank else 0.0
+    rho_c = rs * math.exp(x_c)
+    f_c = rho_c * field.density(rho_c)
+    x_model = _x_model(r)
+    coeffs = _local_model(field, x_c, 4.0 * x_model, f_c, kappa=field.curvature(rho_c))
+    power = 1 if flank else 2
+    for d in np.linspace(-x_model, x_model, 41):
+        u = float(d) ** power
+        rho = rs * math.exp(-(x_c + d))
+        assert abs(rho * field.density(rho) - (f_c + u * _poly(coeffs, u))) <= 1e-13 * f_c, d
+
+
+@pytest.mark.parametrize("r", [1e-12, 1e-18, 1e-30])
+def test_flank_spiral_holds_both_integrals_at_small_r(r):
+    # a band down to 2r lets the orbit reach the flank circle's model
+    report = spiral_trace(r, "s", 0.5, 40.0, band=(2.0 * r, 0.98))
+    assert report.trace.energy_drift <= 1e-10
+    assert report.trace.angular_drift <= 1e-10
+
+
 @pytest.mark.parametrize("r", [0.02, 1e-3])
 def test_flank_model_matches_mpmath_derivatives(r):
     # f(x) - f_c = xi^2 (P_1 + P_2 xi + ...) about the flank circle, with
@@ -1130,7 +1191,7 @@ def test_flank_model_matches_mpmath_derivatives(r):
     x1 = math.log(flank_circles(r)[1] / rs)
     rho_c = rs * math.exp(x1)
     f_c = rho_c * field.density(rho_c)
-    coeffs = _local_model(field, x1, f_c, field.curvature(rho_c))
+    coeffs = _local_model(field, x1, 4.0 * _x_model(r), f_c, kappa=field.curvature(rho_c))
     assert coeffs[0] == 0.0
     with mpmath.workdps(40):
         f = waist_profile_mp(r, "s")
