@@ -88,7 +88,7 @@ class EllipticContext:
 
 
 def _theta(lnq: float, v: complex, kind: int, d: int = 0) -> complex:
-    """d-th derivative (in v) of theta_kind at v with nome exp(lnq).
+    """d-th derivative (in v) of theta_kind, kind 1 or 2, at v with nome exp(lnq).
 
     Near the real axis the factored q-power * trig form is used: cmath
     keeps sin/cos of nearly-real arguments fully accurate, where the
@@ -97,8 +97,8 @@ def _theta(lnq: float, v: complex, kind: int, d: int = 0) -> complex:
     keeps a bounded real exponent even when the q-power alone would
     underflow while the trigonometric factor overflows.
     """
-    if kind not in (1, 2, 3, 4):
-        raise DomainError(f"theta kind must be 1..4, got {kind}")
+    if kind not in (1, 2):
+        raise DomainError(f"theta kind must be 1 or 2, got {kind}")
     if d not in (0, 1):
         raise DomainError(f"theta derivative order must be 0 or 1, got {d}")
     if (2 * _N_THETA + 1) * abs(v.imag) < 600.0:
@@ -108,52 +108,32 @@ def _theta(lnq: float, v: complex, kind: int, d: int = 0) -> complex:
 
 def _theta_trig(lnq: float, v: complex, kind: int, d: int) -> complex:
     total = 0j
-    if kind in (1, 2):
-        for n in range(_N_THETA + 1):
-            qf = math.exp((n + 0.5) ** 2 * lnq)
-            k = 2 * n + 1
-            kv = k * v
-            if kind == 1:
-                osc = cmath.sin(kv) if d == 0 else k * cmath.cos(kv)
-                total += 2.0 * (-1.0 if n % 2 else 1.0) * qf * osc
-            else:
-                osc = cmath.cos(kv) if d == 0 else -k * cmath.sin(kv)
-                total += 2.0 * qf * osc
-    else:
-        if d == 0:
-            total += 1.0
-        for n in range(1, _N_THETA + 1):
-            qf = math.exp(n * n * lnq)
-            if kind == 4 and n % 2:
-                qf = -qf
-            osc = cmath.cos(2 * n * v) if d == 0 else -2 * n * cmath.sin(2 * n * v)
+    for n in range(_N_THETA + 1):
+        qf = math.exp((n + 0.5) ** 2 * lnq)
+        k = 2 * n + 1
+        kv = k * v
+        if kind == 1:
+            osc = cmath.sin(kv) if d == 0 else k * cmath.cos(kv)
+            total += 2.0 * (-1.0 if n % 2 else 1.0) * qf * osc
+        else:
+            osc = cmath.cos(kv) if d == 0 else -k * cmath.sin(kv)
             total += 2.0 * qf * osc
     return total
 
 
 def _theta_pairs(lnq: float, v: complex, kind: int, d: int) -> complex:
     total = 0j
-    if kind in (1, 2):
-        for n in range(_N_THETA + 1):
-            a = (n + 0.5) ** 2 * lnq
-            k = 2 * n + 1
-            fp = (1j * k) ** d
-            fm = (-1j * k) ** d
-            ep = cmath.exp(a + 1j * k * v)
-            em = cmath.exp(a - 1j * k * v)
-            if kind == 1:
-                total += (-1) ** n * (-1j) * (fp * ep - fm * em)
-            else:
-                total += fp * ep + fm * em
-    else:
-        if d == 0:
-            total += 1.0
-        for n in range(1, _N_THETA + 1):
-            a = n * n * lnq
-            fp = (2j * n) ** d
-            fm = (-2j * n) ** d
-            term = fp * cmath.exp(a + 2j * n * v) + fm * cmath.exp(a - 2j * n * v)
-            total += -term if (kind == 4 and n % 2) else term
+    for n in range(_N_THETA + 1):
+        a = (n + 0.5) ** 2 * lnq
+        k = 2 * n + 1
+        fp = (1j * k) ** d
+        fm = (-1j * k) ** d
+        ep = cmath.exp(a + 1j * k * v)
+        em = cmath.exp(a - 1j * k * v)
+        if kind == 1:
+            total += (-1) ** n * (-1j) * (fp * ep - fm * em)
+        else:
+            total += fp * ep + fm * em
     return total
 
 
@@ -374,74 +354,3 @@ def sigma(ctx: EllipticContext, z: complex) -> complex:
         return sign * cmath.exp(shift) * raw
     except OverflowError as exc:
         raise RangeError(f"sigma overflow at z = {z!r}") from exc
-
-
-def sigma_k(ctx: EllipticContext, k: int, u: float) -> float:
-    """Half-period sigma quotient e^(-eta_k u) sigma(u+omega_k)/sigma(omega_k).
-
-    Real for real u on this rectangular lattice; k selects which of the
-    three half-periods omega1, omega2 = -omega1-omega3, omega3 is used.
-    """
-    if k not in (1, 2, 3):
-        raise DomainError(f"k must be 1, 2 or 3, got {k!r}")
-    u = float(u)
-    om1 = ctx.omega1
-    om3 = 1j * ctx.omega3_im
-    eta3 = 1j * ctx.eta3_im
-    if k == 1:
-        om, eta = complex(om1), complex(ctx.eta1)
-    elif k == 2:
-        om, eta = -om1 - om3, -ctx.eta1 - eta3
-    else:
-        om, eta = om3, eta3
-    denom = sigma(ctx, om)
-    if denom == 0:
-        raise RangeError("sigma underflow at the half-period; annulus too extreme for sigma_k")
-    try:
-        val = cmath.exp(-eta * u) * sigma(ctx, u + om) / denom
-    except OverflowError as exc:
-        raise RangeError(f"sigma_k overflow at u = {u!r}") from exc
-    if abs(val.imag) > 1e-9 * (1.0 + abs(val)):
-        raise InternalConsistencyError(f"sigma_{k}({u}) should be real, got {val!r}")
-    return val.real
-
-
-def sigma2_star_sq(ctx: EllipticContext, u: float) -> float:
-    """Square of the Gaussian-weighted half-period quotient sigma_2.
-
-    Returns e^(-c u^2) * sigma_2(u)^2, evaluated in log space so the
-    enormous intermediate factors of sigma_2 itself never appear.
-    """
-    u = float(u)
-    if not math.isfinite(u) or not math.isfinite(u * u):
-        raise RangeError(f"u out of representable range: {u!r}")
-    fr = ctx._frame
-    if not fr.swapped:
-        # The Gaussian weight cancels the sigma prefactor exactly here.
-        v = _PI * u / (2.0 * fr.om1)
-        t3 = _theta(fr.lnq, complex(v), 3)
-        val = (t3.real / fr.th30) ** 2
-        if val <= 0.0:
-            raise InternalConsistencyError(f"sigma2*^2({u}) not positive: {val!r}")
-        return val
-    # Swapped frame: work with log theta3 at purely imaginary argument,
-    # where the series is 1 + sum r^(n^2) * 2cosh(n u) and every term is
-    # positive.  exponents[] holds the log of each term.
-    om1 = fr.om1
-    n_needed = int(abs(u) / (2.0 * om1)) + _N_THETA + 2
-    if n_needed > 10**6:
-        raise RangeError(f"u too large for the series: {u!r}")
-    exponents = [0.0]
-    for n in range(1, n_needed + 1):
-        a = -n * n * om1
-        exponents.append(a + n * u)
-        exponents.append(a - n * u)
-    top = max(exponents)
-    log_t3 = top + math.log(math.fsum(math.exp(e - top) for e in exponents))
-    log_t30 = math.log(math.fsum(math.exp(-n * n * om1) for n in range(1, _N_THETA + 1)) * 2.0 + 1.0)
-    efac = (ctx.eta3_im / _PI - ctx.c) * u * u
-    total = efac + 2.0 * (log_t3 - log_t30)
-    try:
-        return math.exp(total)
-    except OverflowError as exc:
-        raise RangeError(f"sigma2*^2 overflow at u = {u!r}") from exc

@@ -233,7 +233,12 @@ class MetricField:
         """
         if self.metric == "c":
             k0, k2 = self._product.jet(rho, (0, 2))
-            return -4.0 * k2 / (rho * math.exp(k0)) ** 2
+            kappa = -4.0 * k2 / (rho * math.exp(k0)) ** 2
+            if not math.isfinite(kappa):
+                raise RangeError(
+                    f"the curvature at |z| = {rho!r} with r = {self.r!r} is past double range"
+                )
+            return kappa
         return self._product.szego(rho)[1]
 
 

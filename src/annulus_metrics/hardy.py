@@ -3,8 +3,8 @@
 The round annulus A(r_in, r_out) has the monomials z^n as an orthogonal
 basis of the Hardy space of its boundary, with squared norms
 alpha_n = 2*pi*(r_in^(2n+1) + r_out^(2n+1)).  Everything downstream
-(kernel diagonal, maximal domain functions, extremal functions) reduces
-to weighted sums of 1/alpha_n.
+(kernel diagonal, maximal domain functions) reduces to weighted sums of
+1/alpha_n.
 
 Every series goes through one core, _series, which sums
 sum_n w(n) e^(i n theta) / alpha_n(a) for polynomial weights w on an
@@ -17,8 +17,7 @@ when sigma^2 = |z|:
   - the diagonal jets use the weights (n)_j (n)_k at sigma = |z|, with
     the factor |z|^(-j-k) and the phase e^(i (k-j) arg z);
   - J0, J1, J2 at r^lambda are moment sums on the same frame, which
-    _frame builds for the kernel, the jets and the J-functions alike;
-  - the extremal series on a are summed on a / sqrt|z|.
+    _frame builds for the kernel, the jets and the J-functions alike.
 
 Summation conventions of the core:
   - terms are paired n with -n-1 and the pairs summed with math.fsum;
@@ -97,11 +96,6 @@ class GeneralAnnulus:
         return self.r_in < 1.0 < self.r_out
 
 
-def unit_annulus(r: float) -> GeneralAnnulus:
-    """The normalized annulus A_r = {r < |z| < 1}."""
-    return GeneralAnnulus(check_r(r), 1.0)
-
-
 @dataclass(frozen=True)
 class Truncation:
     """Relative tail tolerance every series meets, in (0, 1e-2]."""
@@ -127,27 +121,6 @@ class MomentSums:
     tail_bound: float
 
 
-@dataclass(frozen=True)
-class ExtremalCoefficients:
-    """Orthogonality coefficients for the derivative-extremal functions.
-
-    gap is the Cauchy-Schwarz margin s0*s2 - s1^2 that conditions the
-    2x2 solve for (gamma, delta).
-    """
-
-    beta: float
-    gamma: float
-    delta: float
-    gap: float
-
-
-class JAtOne(NamedTuple):
-    j0: float
-    j1: float
-    j2: float
-    coeffs: ExtremalCoefficients
-
-
 class JOnAr(NamedTuple):
     j0: float
     j1: float
@@ -158,14 +131,6 @@ def _log_alpha(log_rin: float, log_rout: float, n) -> np.ndarray:
     """log alpha_n, vectorized over n (numpy array or scalar)."""
     e = 2 * np.asarray(n, dtype=float) + 1.0
     return math.log(TWO_PI) + np.logaddexp(e * log_rin, e * log_rout)
-
-
-def alpha_n(a: GeneralAnnulus, n: int) -> float:
-    """Squared Hardy norm of z^n on the annulus boundary."""
-    la = float(_log_alpha(math.log(a.r_in), math.log(a.r_out), int(n)))
-    if la > 709.0:
-        raise RangeError(f"alpha overflow at n={n} for annulus ({a.r_in}, {a.r_out})")
-    return math.exp(la)
 
 
 def _poly(coeffs, x):
@@ -449,7 +414,10 @@ def szego_kernel(r: float, z: complex, w: complex, tr: Truncation = Truncation()
     frame, log_unscale = _frame(r, math.log(sigma) / math.log(r), where)
     what = f"kernel series at {where} with r = {r!r}"
     ((value, _, _),) = _series(frame, math.atan2(t.imag, t.real), [(1.0,)], tr, what)
-    return complex(value) * math.exp(log_unscale)
+    kernel = complex(value) * math.exp(log_unscale)
+    if not (math.isfinite(kernel.real) and math.isfinite(kernel.imag)):
+        raise RangeError(f"the kernel at {where} with r = {r!r} is past double range")
+    return kernel
 
 
 def szego_kernel_jet(
@@ -485,7 +453,7 @@ def szego_kernel_jet(
     return WirtingerJet(order, table)
 
 
-def j_functions_at_one(a: GeneralAnnulus, tr: Truncation = Truncation()) -> JAtOne:
+def j_functions_at_one(a: GeneralAnnulus, tr: Truncation = Truncation()) -> JOnAr:
     """Maximal domain functions J0, J1, J2 at the point 1.
 
     J0 is the plain moment sum; J1 and J2 come from projecting away the
@@ -510,7 +478,6 @@ def j_functions_at_one(a: GeneralAnnulus, tr: Truncation = Truncation()) -> JAtO
         raise InternalConsistencyError(
             f"Cauchy-Schwarz gap s0*s2 - s1^2 = {gap} is not positive; summation is broken"
         )
-    beta = s1 / s0
     det = s1 * s1 - s0 * s2  # = -gap, nonzero by the check above
     gamma = (s1 * s2 - s0 * s3) / det
     delta = (s1 * s3 - s2 * s2) / det
@@ -522,7 +489,7 @@ def j_functions_at_one(a: GeneralAnnulus, tr: Truncation = Truncation()) -> JAtO
             f"J values must be positive, got J1={j1}, J2={j2}"
             f" on the annulus ({a.r_in!r}, {a.r_out!r})"
         )
-    return JAtOne(j0, j1, j2, ExtremalCoefficients(beta, gamma, delta, gap))
+    return JOnAr(j0, j1, j2)
 
 
 def j_functions_on_A_r(r: float, lam: float, tr: Truncation = Truncation()) -> JOnAr:
@@ -535,9 +502,8 @@ def j_functions_on_A_r(r: float, lam: float, tr: Truncation = Truncation()) -> J
     check_r(r)
     check_lambda(lam)
     frame, log_unscale = _frame(r, lam, f"|z| = r^lambda = {r ** lam!r}")
-    at_one = j_functions_at_one(frame, tr)
     out = []
-    for j, val in enumerate((at_one.j0, at_one.j1, at_one.j2)):
+    for j, val in enumerate(j_functions_at_one(frame, tr)):
         log_scale = (2 * j + 1) * log_unscale
         if log_scale + math.log(val) > 709.0:
             raise RangeError(
@@ -546,29 +512,3 @@ def j_functions_on_A_r(r: float, lam: float, tr: Truncation = Truncation()) -> J
             )
         out.append(val * math.exp(log_scale))
     return JOnAr(*out)
-
-
-def extremal_function_value(
-    a: GeneralAnnulus, which: str, z: complex, tr: Truncation = Truncation()
-) -> complex:
-    """Value at z of one of the three derivative-extremal basis series.
-
-    which selects the polynomial weight: "f0" -> 1, "f_beta" -> n-beta,
-    "f_gammadelta" -> n^2 - gamma*n - delta, with the coefficients that
-    make the lower-order values at 1 vanish.
-    """
-    if which not in ("f0", "f_beta", "f_gammadelta"):
-        raise DomainError(f"unknown extremal function {which!r}")
-    z = complex(z)
-    rho = abs(z)
-    if not (a.r_in <= rho <= a.r_out):
-        raise DomainError(f"z = {z!r} is outside the closed annulus ({a.r_in}, {a.r_out})")
-    weight = (1.0,)
-    if which != "f0":
-        cf = j_functions_at_one(a, tr).coeffs
-        weight = (-cf.beta, 1.0) if which == "f_beta" else (-cf.delta, -cf.gamma, 1.0)
-    root = math.sqrt(rho)
-    frame = GeneralAnnulus(a.r_in / root, a.r_out / root)
-    what = f"extremal series {which} at |z| = {rho!r} on the annulus ({a.r_in!r}, {a.r_out!r})"
-    ((value, _, _),) = _series(frame, math.atan2(z.imag, z.real), [weight], tr, what)
-    return complex(value) / root

@@ -7,7 +7,7 @@ the Poincare-type metrics of the unit disc come out with Gaussian
 curvature -4.
 
 Orders above 3 are rejected: capping the order keeps the recursive
-eliminations (log, sqrt, recip) fully enumerable.  Order 3 is what
+eliminations (log, sqrt) fully enumerable.  Order 3 is what
 hardy.szego_kernel_jet serves, to the tests that check the curvatures
 against the Laurent jets; metrics.higher_curvature takes no jets.
 """
@@ -51,19 +51,6 @@ class WirtingerJet:
         table.setflags(write=False)
         object.__setattr__(self, "coeffs", table)
 
-    @classmethod
-    def constant(cls, value: complex, order: int) -> "WirtingerJet":
-        table = np.zeros((order + 1, order + 1), dtype=complex)
-        table[0, 0] = value
-        return cls(order, table)
-
-    @classmethod
-    def from_table(cls, table) -> "WirtingerJet":
-        table = np.asarray(table, dtype=complex)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise ShapeError(f"jet table must be square, got shape {table.shape}")
-        return cls(table.shape[0] - 1, table)
-
     @property
     def value(self) -> complex:
         """The function value at the base point (the (0,0) entry)."""
@@ -72,77 +59,12 @@ class WirtingerJet:
     def at(self, j: int, k: int) -> complex:
         return complex(self.coeffs[j, k])
 
-    def scaled(self, factor: complex) -> "WirtingerJet":
-        """Jet of factor * f for a constant factor."""
-        return WirtingerJet(self.order, self.coeffs * factor)
-
-    def truncated(self, order: int) -> "WirtingerJet":
-        """Restriction to a lower order."""
-        if order > self.order:
-            raise ShapeError(f"cannot extend a jet of order {self.order} to order {order}")
-        return WirtingerJet(order, self.coeffs[: order + 1, : order + 1])
-
-    def is_reality_symmetric(self, tol: float = 1e-10) -> bool:
-        scale = float(np.max(np.abs(self.coeffs))) + 1.0
-        return bool(np.max(np.abs(self.coeffs - self.coeffs.conj().T)) <= tol * scale)
-
-
-def _check_same_order(a: WirtingerJet, b: WirtingerJet) -> int:
-    if a.order != b.order:
-        raise ShapeError(f"jet order mismatch: {a.order} vs {b.order}")
-    return a.order
-
-
-def jet_add(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
-    """Coefficientwise sum; both jets must share the base point."""
-    order = _check_same_order(a, b)
-    return WirtingerJet(order, a.coeffs + b.coeffs)
-
-
-def jet_mul(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
-    """Jet of the pointwise product, by the Leibniz rule.
-
-    (fg)^{(j,k)} = sum over p<=j, q<=k of C(j,p) C(k,q) f^{(p,q)} g^{(j-p,k-q)}.
-    """
-    order = _check_same_order(a, b)
-    n = order + 1
-    out = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            acc = 0.0 + 0.0j
-            for p in range(j + 1):
-                cjp = comb(j, p)
-                for q in range(k + 1):
-                    acc += cjp * comb(k, q) * a.coeffs[p, q] * b.coeffs[j - p, k - q]
-            out[j, k] = acc
-    return WirtingerJet(order, out)
-
 
 def _graded_indices(order: int):
     """All (j,k) with j+k >= 1 in increasing total order."""
     pairs = [(j, k) for j in range(order + 1) for k in range(order + 1) if j + k >= 1]
     pairs.sort(key=lambda jk: (jk[0] + jk[1], jk[0]))
     return pairs
-
-
-def jet_recip(a: WirtingerJet) -> WirtingerJet:
-    """Jet of 1/f, by recursive elimination in f * (1/f) = 1."""
-    f = a.coeffs
-    if f[0, 0] == 0:
-        raise SingularJetError("jet_recip needs a nonzero value at the base point")
-    n = a.order + 1
-    g = np.zeros((n, n), dtype=complex)
-    g[0, 0] = 1.0 / f[0, 0]
-    for j, k in _graded_indices(a.order):
-        acc = 0.0 + 0.0j
-        for p in range(j + 1):
-            cjp = comb(j, p)
-            for q in range(k + 1):
-                if p == 0 and q == 0:
-                    continue
-                acc += cjp * comb(k, q) * f[p, q] * g[j - p, k - q]
-        g[j, k] = -acc / f[0, 0]
-    return WirtingerJet(a.order, g)
 
 
 def jet_log(a: WirtingerJet) -> WirtingerJet:
@@ -199,10 +121,3 @@ def jet_sqrt(a: WirtingerJet) -> WirtingerJet:
                 acc += cjp * comb(k, q) * g[p, q] * g[j - p, k - q]
         g[j, k] = (f[j, k] - acc) / (2.0 * g[0, 0])
     return WirtingerJet(a.order, g)
-
-
-def laplacian_from_jet(a: WirtingerJet) -> float:
-    """Laplacian of the represented real-valued function: 4 * Re d dzbar f."""
-    if a.order < 1:
-        raise ShapeError("laplacian needs a jet of order >= 1")
-    return 4.0 * float(a.coeffs[1, 1].real)

@@ -15,9 +15,8 @@ Laurent series, through the ratios J1/J0 and J0*J2/J1^2; selftest
 and the tests use it as the independent check of sample, which the
 sweep reads.  The elliptic route expresses the Szego density through a
 difference of Weierstrass p-values on the rectangular lattice
-(2 log r, 2 pi i), and the capacity metric through the sigma2-star
-factor.  It shares no code below the complex plane with the other
-two, which is what makes their agreement a meaningful check.
+(2 log r, 2 pi i).  It shares no code below the complex plane with
+the other two, which is what makes their agreement a meaningful check.
 
 Curvature conventions: kappa = -(Delta log m)/m^2 with Delta the full
 Laplacian, so the unit disc density 1/(1-|z|^2) has kappa = -4.  The
@@ -32,12 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .elliptic import (
-    EllipticContext,
-    make_elliptic_context,
-    sigma2_star_sq,
-    wp,
-)
+from .elliptic import EllipticContext, make_elliptic_context, wp
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -198,60 +192,12 @@ def szego_metric_wp(r: float, z: complex) -> float:
         raise InternalConsistencyError(
             f"p-difference should be positive, got {diff.real!r}"
         )
-    return math.sqrt(diff.real) / abs(zc)
-
-
-def capacity_metric(r: float, z: complex, tr: Truncation = Truncation()) -> float:
-    """Capacity (logarithmic-capacity) metric density.
-
-    c_beta(z) = 2*pi*S(z) / sigma2_star(-2 log|z|), the factorization
-    partner of the Szego kernel on the annulus.
-    """
-    zc = check_point(check_r(r), z)
-    ctx = _context_for(r)
-    u = -2.0 * math.log(abs(zc))
-    s2s = sigma2_star_sq(ctx, u)
-    if s2s <= 0:
-        raise InternalConsistencyError(
-            f"sigma2_star^2 should be positive, got {s2s!r}"
+    density = math.sqrt(diff.real) / abs(zc)
+    if not math.isfinite(density):
+        raise RangeError(
+            f"the elliptic Szego density at |z| = {abs(zc)!r} with r = {r!r} is past double range"
         )
-    kern = szego_kernel(r, zc, zc, tr).real
-    return TWO_PI * kern / math.sqrt(s2s)
-
-
-def capacity_log_laplacian(r: float, z: complex) -> float:
-    """d dbar of log c_beta, in closed elliptic form.
-
-    Equals (p(2 log|z|) + eta1/omega1) / |z|^2, which is positive on
-    the annulus, so the capacity metric has negative curvature.
-    """
-    zc = check_point(check_r(r), z)
-    ctx = _context_for(r)
-    u = 2.0 * math.log(abs(zc))
-    val = wp(ctx, complex(u, 0.0))
-    if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
-        raise InternalConsistencyError(
-            f"p(u) should be real for real u, got {val!r}"
-        )
-    return (val.real + ctx.c) / abs(zc) ** 2
-
-
-def szego_log_density_laplacian_wp(r: float, z: complex) -> float:
-    """d dbar of log sigma2_star(-2 log|z|) in closed form.
-
-    Equals -(p(2 log|z| + omega1 + omega3) + eta1/omega1) / |z|^2; with
-    capacity_log_laplacian it splits d dbar log S into its two factors.
-    """
-    zc = check_point(check_r(r), z)
-    ctx = _context_for(r)
-    u = 2.0 * math.log(abs(zc))
-    shift = complex(ctx.omega1, ctx.omega3_im)
-    val = wp(ctx, u + shift)
-    if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
-        raise InternalConsistencyError(
-            f"p(u + omega1 + omega3) should be real for real u, got {val!r}"
-        )
-    return -(val.real + ctx.c) / abs(zc) ** 2
+    return density
 
 
 def higher_curvature(

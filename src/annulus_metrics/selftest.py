@@ -78,9 +78,6 @@ class _Checks:
         err = abs(value - target) / max(abs(target), abs(value))
         self.expect(f"{label} = {value:.6g} (target {target:g}, err {err:.2e})", err <= rel)
 
-    def note(self, text: str) -> None:
-        self.facts.append(text)
-
     def result(self) -> tuple:
         if self.failures:
             return False, "FAIL " + "; ".join(self.failures)

@@ -12,8 +12,6 @@ from annulus_metrics.elliptic import (
     EllipticContext,
     make_elliptic_context,
     sigma,
-    sigma2_star_sq,
-    sigma_k,
     wp,
     wp_prime,
     zeta,
@@ -275,77 +273,6 @@ def test_pole_error_carries_nearest(ctx_half):
         wp_prime(ctx_half, 2j * PI + 1e-8j)
     # sigma is entire: no pole error, exact zero at lattice points
     assert sigma(ctx_half, 0.0) == 0
-
-
-# ---------------------------------------------------------------------------
-# half-period sigma quotients
-
-
-def test_sigma_k_at_zero(ctx_half):
-    for k in (1, 2, 3):
-        assert sigma_k(ctx_half, k, 0.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_sigma_k_domain_error(ctx_half):
-    with pytest.raises(DomainError):
-        sigma_k(ctx_half, 4, 0.1)
-    with pytest.raises(DomainError):
-        sigma_k(ctx_half, 0, 0.1)
-
-
-def test_sigma_2_real_on_segment(ctx_half):
-    # Realness is asserted inside sigma_k; this exercises the whole
-    # segment the capacity relation consumes.
-    for u in np.linspace(-2 * ctx_half.omega1, 0.0, 41):
-        sigma_k(ctx_half, 2, float(u))
-
-
-def test_sigma_2_matches_inline_composition(ctx_half):
-    om2 = -ctx_half.omega1 - 1j * PI
-    eta2 = -ctx_half.eta1 - 1j * ctx_half.eta3_im
-    for u in (-1.3, -0.4, 0.3):
-        direct = cmath.exp(-eta2 * u) * sigma(ctx_half, u + om2) / sigma(ctx_half, om2)
-        assert abs(sigma_k(ctx_half, 2, u) - direct) < 1e-12 * (1 + abs(direct))
-
-
-def test_sigma2_star_sq_basics(ctx_half):
-    assert sigma2_star_sq(ctx_half, 0.0) == pytest.approx(1.0, abs=1e-14)
-    for u in np.linspace(-2 * ctx_half.omega1 + 1e-3, -1e-3, 25):
-        assert sigma2_star_sq(ctx_half, float(u)) > 0
-
-
-def test_sigma2_star_sq_matches_weighted_square():
-    for r in (0.5, 0.01):
-        ctx = make_elliptic_context(r)
-        for frac in (0.15, 0.5, 0.85):
-            u = -2 * ctx.omega1 * frac
-            s2 = sigma_k(ctx, 2, u)
-            direct = math.exp(-ctx.c * u * u) * s2 * s2
-            got = sigma2_star_sq(ctx, u)
-            assert abs(got - direct) < 1e-11 * (1 + abs(direct))
-
-
-def test_sigma2_star_sq_log_second_difference():
-    # d^2/du^2 log sigma2*^2 = -2(c + wp(u + omega1 + omega3))
-    for r in (0.5, 0.01):
-        ctx = make_elliptic_context(r)
-        h = 1e-4
-        for frac in (0.2, 0.37, 0.7):
-            u = -2 * ctx.omega1 * frac
-
-            def logf(t):
-                return math.log(sigma2_star_sq(ctx, t))
-
-            second = (logf(u + h) - 2 * logf(u) + logf(u - h)) / h**2
-            target = -2 * (ctx.c + wp(ctx, u + ctx.omega1 + 1j * PI).real)
-            assert abs(second - target) < 1e-6 * (1 + abs(target))
-
-
-def test_sigma2_star_sq_range_error(ctx_half):
-    with pytest.raises(RangeError):
-        sigma2_star_sq(ctx_half, float("inf"))
-    with pytest.raises(RangeError):
-        sigma2_star_sq(ctx_half, 1e200)
 
 
 # ---------------------------------------------------------------------------

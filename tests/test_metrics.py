@@ -22,12 +22,9 @@ from annulus_metrics.hardy import JOnAr, j_functions_on_A_r, szego_kernel_jet
 from annulus_metrics.metrics import (
     MetricSample,
     boundary_asymptotics_probe,
-    capacity_log_laplacian,
-    capacity_metric,
     higher_curvature,
     metric_from_j,
     sample,
-    szego_log_density_laplacian_wp,
     szego_metric_wp,
 )
 
@@ -287,69 +284,6 @@ def test_curvature_against_fd_laplacian():
 
 
 # ---------------------------------------------------------------------------
-# capacity metric
-
-
-def test_capacity_metric_positive_and_rotation_invariant():
-    r = 0.5
-    for rho in (0.55, 0.7, 0.9):
-        v = capacity_metric(r, rho)
-        assert v > 0
-        assert capacity_metric(r, rho * cmath.exp(0.8j)) == pytest.approx(
-            v, rel=1e-13
-        )
-
-
-def test_capacity_log_laplacian_positive():
-    for r in (0.2, 0.5, 0.8):
-        for lam in np.linspace(0.05, 0.95, 13):
-            assert capacity_log_laplacian(r, r**lam) > 0
-
-
-def test_capacity_log_laplacian_matches_fd():
-    r = 0.5
-
-    def log_cb(p):
-        return complex(math.log(capacity_metric(r, complex(p))))
-
-    for z in (0.6, 0.75 * cmath.exp(0.5j)):
-        fd = complex(mixed_wirtinger_fd(log_cb, z, 1, 1, h=1e-4)).real
-        closed = capacity_log_laplacian(r, z)
-        assert abs(fd - closed) <= 1e-5 * max(1.0, abs(closed))
-
-
-def test_log_kernel_laplacian_decomposition():
-    # d dbar log S splits into the capacity part and the sigma2-star
-    # part; the left side is measured by finite differences of the
-    # series kernel, the right side comes from the elliptic forms.
-    from annulus_metrics.hardy import szego_kernel
-
-    r = 0.45
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        lam = rng.uniform(0.1, 0.9)
-        theta = rng.uniform(-PI, PI)
-        z = r**lam * cmath.exp(1j * theta)
-
-        def log_S(p):
-            pc = complex(p)
-            return complex(math.log(szego_kernel(r, pc, pc).real))
-
-        lhs = complex(mixed_wirtinger_fd(log_S, z, 1, 1, h=1e-4)).real
-        rhs = capacity_log_laplacian(r, z) + szego_log_density_laplacian_wp(r, z)
-        assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(rhs))
-
-
-def test_szego_density_identity():
-    # s^2 equals the sum of the two closed-form laplacians exactly.
-    r = 0.5
-    for rho in (0.55, 0.7, 0.85):
-        s2 = szego_metric_wp(r, rho) ** 2
-        total = capacity_log_laplacian(r, rho) + szego_log_density_laplacian_wp(r, rho)
-        assert s2 == pytest.approx(total, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # higher curvature
 
 
@@ -498,20 +432,39 @@ def test_higher_curvature_with_c_past_double_range_is_a_range_error(N):
         higher_curvature(r, r ** (1.0 - 1e-12), N, "caratheodory")
 
 
-@pytest.mark.parametrize("lam", [0.999, 0.9999])
-@pytest.mark.parametrize("entry", ["sample", "szego_kernel", "capacity_metric"])
-def test_subnormal_r_next_to_the_inner_circle_is_a_range_error(entry, lam):
+def _subnormal_call(entry: str, r: float, z: float):
+    if entry == "sample":
+        return sample(r, z)
+    if entry == "szego_kernel":
+        return hardy.szego_kernel(r, z, z)
+    if entry == "szego_metric_wp":
+        return szego_metric_wp(r, z)
+    return MetricField(r, "c").curvature(z)
+
+
+SUBNORMAL_CASES = {
     # at r = 1e-310 the kernel's frame r^(-lambda) is past double range,
     # which used to surface as a bare OverflowError
-    r = 1e-310
-    z = r**lam
-    call = {
-        "sample": lambda: sample(r, z),
-        "szego_kernel": lambda: hardy.szego_kernel(r, z, z),
-        "capacity_metric": lambda: capacity_metric(r, z),
-    }[entry]
-    with pytest.raises(RangeError, match=r"\|z\| = .* with r = 1e-310"):
-        call()
+    "sample-0.999": ("sample", 1e-310, 1e-310**0.999),
+    "sample-0.9999": ("sample", 1e-310, 1e-310**0.9999),
+    "szego_kernel-0.999": ("szego_kernel", 1e-310, 1e-310**0.999),
+    "szego_kernel-0.9999": ("szego_kernel", 1e-310, 1e-310**0.9999),
+    # the values below used to come back as infinities
+    "szego_kernel-r1e-308": ("szego_kernel", 1e-308, 1e-308 ** (1 - 1e-6)),
+    "szego_metric_wp-r1e-308": ("szego_metric_wp", 1e-308, 1e-308 ** (1 - 1e-6)),
+    "szego_metric_wp-0.999": ("szego_metric_wp", 1e-310, 1e-310**0.999),
+    "szego_metric_wp-r1e-310": ("szego_metric_wp", 1e-310, 1e-310 ** (1 - 1e-6)),
+    # kappa_c at the waist is about -1/(4r), past double range
+    "curvature_c-r1e-310": ("curvature_c", 1e-310, math.sqrt(1e-310)),
+    "curvature_c-r5e-324": ("curvature_c", 5e-324, math.sqrt(5e-324)),
+}
+
+
+@pytest.mark.parametrize("case", list(SUBNORMAL_CASES))
+def test_subnormal_r_next_to_the_inner_circle_is_a_range_error(case):
+    entry, r, z = SUBNORMAL_CASES[case]
+    with pytest.raises(RangeError, match=rf"\|z\| = .* with r = {r!r}"):
+        _subnormal_call(entry, r, z)
 
 
 # ---------------------------------------------------------------------------
