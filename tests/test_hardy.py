@@ -450,16 +450,15 @@ def test_extremal_beta_rayleigh():
 
 
 def test_j2_matches_expanded_form():
-    # j2 = s4 - gamma s3 - delta s2 must equal the ratio-of-determinants
-    # expansion written out over the raw moments.
+    # J2 = s4 - gamma s3 - delta s2 must equal the ratio of the 3x3 and
+    # 2x2 Hankel determinants of the raw moments, expanded by hand.
     a = GeneralAnnulus(0.45, 2.2)
     s0, s1, s2, s3, s4 = moment_sums(a, 4).s
-    det = s1 * s1 - s0 * s2
-    gamma = (s1 * s2 - s0 * s3) / det
-    delta = (s1 * s3 - s2 * s2) / det
+    det2 = s0 * s2 - s1 * s1
+    det3 = s0 * (s2 * s4 - s3 * s3) - s1 * (s1 * s4 - s2 * s3) + s2 * (s1 * s3 - s2 * s2)
     J = j_functions_at_one(a)
-    assert J.j2 == pytest.approx(s4 - gamma * s3 - delta * s2, rel=1e-13)
-    assert J.j1 == pytest.approx((s0 * s2 - s1 * s1) / s0, rel=1e-13)
+    assert J.j2 == pytest.approx(det3 / det2, rel=1e-13)
+    assert J.j1 == pytest.approx(det2 / s0, rel=1e-13)
 
 
 def test_transformation_self_consistency():

@@ -432,39 +432,37 @@ def test_higher_curvature_with_c_past_double_range_is_a_range_error(N):
         higher_curvature(r, r ** (1.0 - 1e-12), N, "caratheodory")
 
 
-def _subnormal_call(entry: str, r: float, z: float):
-    if entry == "sample":
-        return sample(r, z)
-    if entry == "szego_kernel":
-        return hardy.szego_kernel(r, z, z)
-    if entry == "szego_metric_wp":
-        return szego_metric_wp(r, z)
-    return MetricField(r, "c").curvature(z)
-
+SUBNORMAL_ENTRIES = {
+    "sample": sample,
+    "szego_kernel": lambda r, z: hardy.szego_kernel(r, z, z),
+    "szego_metric_wp": szego_metric_wp,
+    "curvature_c": lambda r, z: MetricField(r, "c").curvature(z),
+}
 
 SUBNORMAL_CASES = {
     # at r = 1e-310 the kernel's frame r^(-lambda) is past double range,
     # which used to surface as a bare OverflowError
-    "sample-0.999": ("sample", 1e-310, 1e-310**0.999),
-    "sample-0.9999": ("sample", 1e-310, 1e-310**0.9999),
-    "szego_kernel-0.999": ("szego_kernel", 1e-310, 1e-310**0.999),
-    "szego_kernel-0.9999": ("szego_kernel", 1e-310, 1e-310**0.9999),
+    "sample-0.999": (1e-310, 1e-310**0.999),
+    "sample-0.9999": (1e-310, 1e-310**0.9999),
+    "szego_kernel-0.999": (1e-310, 1e-310**0.999),
+    "szego_kernel-0.9999": (1e-310, 1e-310**0.9999),
     # the values below used to come back as infinities
-    "szego_kernel-r1e-308": ("szego_kernel", 1e-308, 1e-308 ** (1 - 1e-6)),
-    "szego_metric_wp-r1e-308": ("szego_metric_wp", 1e-308, 1e-308 ** (1 - 1e-6)),
-    "szego_metric_wp-0.999": ("szego_metric_wp", 1e-310, 1e-310**0.999),
-    "szego_metric_wp-r1e-310": ("szego_metric_wp", 1e-310, 1e-310 ** (1 - 1e-6)),
+    "szego_kernel-r1e-308": (1e-308, 1e-308 ** (1 - 1e-6)),
+    "szego_metric_wp-r1e-308": (1e-308, 1e-308 ** (1 - 1e-6)),
+    "szego_metric_wp-0.999": (1e-310, 1e-310**0.999),
+    "szego_metric_wp-r1e-310": (1e-310, 1e-310 ** (1 - 1e-6)),
     # kappa_c at the waist is about -1/(4r), past double range
-    "curvature_c-r1e-310": ("curvature_c", 1e-310, math.sqrt(1e-310)),
-    "curvature_c-r5e-324": ("curvature_c", 5e-324, math.sqrt(5e-324)),
+    "curvature_c-r1e-310": (1e-310, math.sqrt(1e-310)),
+    "curvature_c-r5e-324": (5e-324, math.sqrt(5e-324)),
 }
 
 
 @pytest.mark.parametrize("case", list(SUBNORMAL_CASES))
 def test_subnormal_r_next_to_the_inner_circle_is_a_range_error(case):
-    entry, r, z = SUBNORMAL_CASES[case]
+    r, z = SUBNORMAL_CASES[case]
+    call = SUBNORMAL_ENTRIES[case.split("-")[0]]
     with pytest.raises(RangeError, match=rf"\|z\| = .* with r = {r!r}"):
-        _subnormal_call(entry, r, z)
+        call(r, z)
 
 
 # ---------------------------------------------------------------------------
